@@ -6,7 +6,8 @@
 A run repeats units of work on seeds derived from ``--seed`` until
 ``--seconds`` have passed (at least ``MIN_UNITS`` units). Each unit runs
 in a fresh Python process, as a user's rerun of an experiment does, so
-no unit inherits another's heap. Every unit's outputs are checked. The
+no unit inherits another's heap. Times are host seconds scaled to a
+nominal host speed by ``gauge.py``. Every unit's outputs are checked. The
 last stdout line is one JSON object with ``correct``, ``attempted``,
 ``failed`` and ``metrics``: the end-to-end metrics with ``--trace 0``,
 the per-layer metrics with ``--trace 1``. A traced run runs each unit
@@ -225,7 +226,8 @@ def measure(name: str, params: dict, seed: int, seconds: float, traced: bool,
         row = {"seed": seed_i, "setup_s": unit["setup_s"], "work_s": unit["work_s"],
                "completed": unit["completed"], "failed": unit["failed"],
                "peak_rss_mb": payload["peak_rss_mb"], "digest": unit["digest"],
-               "counters": unit["counters"]}
+               "counters": unit["counters"], "host_s": unit["host_s"],
+               "slowdown": unit["slowdown"]}
         if traced:
             traced_payload = run_unit(name, params, seed_i, traced=True,
                                       spans=spans if index == 0 else None)

@@ -5,10 +5,13 @@
 
 import gzip
 import json
+import signal
+import time
 from array import array
 
 import pytest
 
+import gauge
 import run
 import tracing
 from repro.node.host import IpfsNode
@@ -120,3 +123,22 @@ def test_unit_seeds_are_distinct_and_stable():
     assert len(set(seeds)) == 4
     assert seeds == [run.unit_seed(5, i) for i in range(4)]
     assert run.unit_seed(6, 0) not in seeds
+
+
+def test_gauge_scales_host_time_and_leaves_the_program_alone():
+    gauge_ = gauge.Gauge()
+    before = gauge_.now()
+    with gauge_.section() as section:
+        deadline = time.perf_counter() + 0.3
+        while time.perf_counter() < deadline:
+            pass
+    assert len(section.samples) >= 4  # both ends and the timer's
+    assert 0.25 < section.host_s < 0.3 + 1e-3
+    assert gauge_.now() - before >= section.host_s
+    assert section.scaled() == pytest.approx(section.host_s / section.slowdown)
+    assert signal.getsignal(signal.SIGALRM) is signal.SIG_DFL
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    untimed = gauge.Gauge(None)
+    with untimed.section() as ends_only:
+        pass
+    assert len(ends_only.samples) == 2 and untimed.sampled_s == 0.0

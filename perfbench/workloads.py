@@ -2,9 +2,11 @@
 
 A unit builds its inputs from one seed, runs the program through its
 public entry points, checks the outputs and returns a
-:class:`UnitResult`. The benchmark runs units back to back, each on a
-seed derived from the run's ``--seed``, so every run covers several
-independent inputs and reports medians over them.
+:class:`UnitResult`. Its set-up and its work are timed by a
+:class:`~gauge.Gauge`, in host seconds scaled to a nominal host speed.
+The benchmark runs units back to back, each on a seed derived from the
+run's ``--seed``, so every run covers several independent inputs and
+reports medians over them.
 
 - ``publish_retrieve`` -- the section 4.3 protocol over a materialized,
   churning world with the six AWS vantage nodes: a closed loop with one
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
+import statistics
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -37,9 +39,10 @@ from repro.utils.rng import derive_rng
 from repro.utils.stats import percentiles
 from repro.validation.targets import TARGETS_BY_KEY
 from repro.workloads.compact import generate_compact_population
-from repro.workloads.gateway_trace import GatewayTraceConfig
+from repro.workloads.gateway_trace import GatewayTraceConfig, generate_columnar_trace
 from repro.workloads.population import PopulationConfig, generate_population
 
+from gauge import INTERVAL_S, Gauge
 from tracing import Patcher, Tracer
 
 
@@ -47,6 +50,7 @@ from tracing import Patcher, Tracer
 class UnitResult:
     """What one unit of work did, measured and checked."""
 
+    #: set-up and work seconds, at nominal host speed (see gauge.py)
     setup_s: float
     work_s: float
     #: operations counted by ``ops_per_s``: publishes + retrieves,
@@ -64,6 +68,9 @@ class UnitResult:
     fidelity: dict[str, dict[str, float]] = field(default_factory=dict)
     #: counters the program keeps, read after the unit.
     counters: dict[str, float] = field(default_factory=dict)
+    #: the same as host seconds, and the host's slowdown in each
+    host_s: dict[str, float] = field(default_factory=dict)
+    slowdown: dict[str, float] = field(default_factory=dict)
 
 
 def _digest(*parts) -> str:
@@ -75,6 +82,22 @@ def _digest(*parts) -> str:
 
 def _span(tracer: Tracer | None, name: str):
     return tracer.spans.span(name) if tracer is not None else nullcontext()
+
+
+def _gauge(tracer: Tracer | None) -> Gauge:
+    # A traced unit samples only outside its spans.
+    return Gauge(None if tracer is not None else INTERVAL_S)
+
+
+def _timings(setup_s: float, work_s: float, /, **sections) -> dict:
+    """UnitResult fields for the scaled set-up and work seconds and the
+    gauge sections they came from."""
+    return {
+        "setup_s": setup_s,
+        "work_s": work_s,
+        "host_s": {name: section.host_s for name, section in sections.items()},
+        "slowdown": {name: section.slowdown for name, section in sections.items()},
+    }
 
 
 def _current_rss_bytes() -> int:
@@ -100,7 +123,8 @@ class _OperationRecorder:
     """Times ``IpfsNode.publish``/``retrieve`` and checks each
     retrieval's bytes against what the publisher imported."""
 
-    def __init__(self) -> None:
+    def __init__(self, clock) -> None:
+        self.clock = clock
         self.publish_ms: list[float] = []
         self.retrieve_ms: list[float] = []
         self.payload_sha: dict = {}
@@ -114,6 +138,7 @@ class _OperationRecorder:
         publish = IpfsNode.publish
         retrieve = IpfsNode.retrieve
         recorder = self
+        clock = self.clock
 
         def recorded_add_bytes(node, data, pin=True):
             result = add_bytes(node, data, pin)
@@ -121,15 +146,15 @@ class _OperationRecorder:
             return result
 
         def timed_publish(node, cid):
-            started = time.perf_counter()
+            started = clock()
             receipt = yield from publish(node, cid)
-            recorder.publish_ms.append((time.perf_counter() - started) * 1e3)
+            recorder.publish_ms.append((clock() - started) * 1e3)
             return receipt
 
         def timed_retrieve(node, cid, recursive=True):
-            started = time.perf_counter()
+            started = clock()
             receipt = yield from retrieve(node, cid, recursive)
-            recorder.retrieve_ms.append((time.perf_counter() - started) * 1e3)
+            recorder.retrieve_ms.append((clock() - started) * 1e3)
             if hashlib.sha256(node.cat(cid)).digest() == recorder.payload_sha.get(cid):
                 recorder.verified += 1
             else:
@@ -149,7 +174,7 @@ class _OperationRecorder:
 class PublishRetrieve:
     n_peers: int = 3000
     #: publications per region per unit (each followed by five retrievals)
-    rounds: int = 6
+    rounds: int = 3
 
     def config(self) -> dict:
         return {"n_peers": self.n_peers, "rounds": self.rounds,
@@ -157,29 +182,28 @@ class PublishRetrieve:
                 "loop": "closed, one operation in flight"}
 
     def run_unit(self, seed: int, tracer: Tracer | None = None) -> UnitResult:
+        gauge = _gauge(tracer)
         rss_before = _current_rss_bytes()
-        started = time.perf_counter()
-        with _span(tracer, "workloads.gen"):
-            population = generate_population(
-                PopulationConfig(n_peers=self.n_peers),
-                derive_rng(seed, "perfbench-population"),
-            )
-        with _span(tracer, "world.build"):
-            scenario = build_scenario(
-                population, ScenarioConfig(seed=seed), vantage_regions=list(AWS_REGIONS)
-            )
-        setup_s = time.perf_counter() - started
+        with gauge.section() as setup:
+            with _span(tracer, "workloads.gen"):
+                population = generate_population(
+                    PopulationConfig(n_peers=self.n_peers),
+                    derive_rng(seed, "perfbench-population"),
+                )
+            with _span(tracer, "world.build"):
+                scenario = build_scenario(
+                    population, ScenarioConfig(seed=seed), vantage_regions=list(AWS_REGIONS)
+                )
         # No program counter sizes a materialized world; resident growth
         # over the build does, in the first unit of a process.
         bytes_per_peer = (_current_rss_bytes() - rss_before) / self.n_peers
 
-        recorder = _OperationRecorder()
+        recorder = _OperationRecorder(gauge.now)
         config = PerfConfig(rounds=self.rounds, seed=seed)
         with recorder.installed():
-            work_started = time.perf_counter()
-            with _span(tracer, "other.experiment"):
-                results = run_perf_experiment(scenario, config)
-            work_s = time.perf_counter() - work_started
+            with gauge.section() as work:
+                with _span(tracer, "other.experiment"):
+                    results = run_perf_experiment(scenario, config)
 
         publications = results.all_publications()
         retrievals = results.all_retrievals()
@@ -218,8 +242,7 @@ class PublishRetrieve:
                     percentiles([r.total_duration for r in retrievals], [50])[0]),
             }
         return UnitResult(
-            setup_s=setup_s,
-            work_s=work_s,
+            **_timings(setup.scaled(), work.scaled(), setup=setup, work=work),
             completed=completed,
             attempted=attempted,
             failed=results.failures,
@@ -242,8 +265,8 @@ class PublishRetrieve:
 
 @dataclass(frozen=True)
 class CrawlChurn:
-    n_peers: int = 1500
-    duration_s: float = 3600.0
+    n_peers: int = 1000
+    duration_s: float = 2400.0
     probe_sample: float = 0.4
 
     def scale_config(self, seed: int) -> ScaleCrawlConfig:
@@ -260,23 +283,22 @@ class CrawlChurn:
 
     def run_unit(self, seed: int, tracer: Tracer | None = None) -> UnitResult:
         config = self.scale_config(seed)
-        started = time.perf_counter()
-        with _span(tracer, "workloads.gen"):
-            compact = generate_compact_population(
-                PopulationConfig(n_peers=config.n_peers),
-                derive_rng(seed, "perfbench-population"),
-            )
-        with _span(tracer, "world.build"):
-            world = build_compact_world(
-                compact, ScenarioConfig(seed=seed), workers=config.workers,
-                churn_horizon_s=config.duration_s + 2 * config.crawl_interval_s,
-            )
-        setup_s = time.perf_counter() - started
+        gauge = _gauge(tracer)
+        with gauge.section() as setup:
+            with _span(tracer, "workloads.gen"):
+                compact = generate_compact_population(
+                    PopulationConfig(n_peers=config.n_peers),
+                    derive_rng(seed, "perfbench-population"),
+                )
+            with _span(tracer, "world.build"):
+                world = build_compact_world(
+                    compact, ScenarioConfig(seed=seed), workers=config.workers,
+                    churn_horizon_s=config.duration_s + 2 * config.crawl_interval_s,
+                )
 
-        work_started = time.perf_counter()
-        with _span(tracer, "other.campaign"):
-            results = run_crawl_timeseries(world, config.campaign())
-        work_s = time.perf_counter() - work_started
+        with gauge.section() as work:
+            with _span(tracer, "other.campaign"):
+                results = run_crawl_timeseries(world, config.campaign())
 
         timeseries = results.timeseries()
         visits = sum(total for _, total, _, _ in timeseries)
@@ -298,8 +320,7 @@ class CrawlChurn:
             if claim_key in claims:
                 fidelity[target_key] = _fidelity(target_key, claims[claim_key].measured)
         return UnitResult(
-            setup_s=setup_s,
-            work_s=work_s,
+            **_timings(setup.scaled(), work.scaled(), setup=setup, work=work),
             completed=visits,
             attempted=visits,
             failed=0,
@@ -322,10 +343,14 @@ class CrawlChurn:
 # ----------------------------------------------------------------------
 
 
+#: trace generations a gateway_replay unit times as its set-up
+TRACE_SETUPS = 5
+
+
 @dataclass(frozen=True)
 class GatewayReplay:
     #: the paper's 7.1 M-request day divided by this
-    trace_scale: int = 800
+    trace_scale: int = 2000
 
     def replay_config(self, seed: int) -> ReplayConfig:
         return ReplayConfig(
@@ -341,12 +366,21 @@ class GatewayReplay:
 
     def run_unit(self, seed: int, tracer: Tracer | None = None) -> UnitResult:
         config = self.replay_config(seed)
-        started = time.perf_counter()
-        with _span(tracer, "gateway.replay"):
-            result = run_replay(config, workers=1)
-        total_s = time.perf_counter() - started
-        # run_replay generates its trace first and times that stage itself.
-        setup_s = result.timings["generate_s"]
+        gauge = _gauge(tracer)
+        # The set-up is run_replay's first stage, trace generation. One
+        # takes about 25 ms, too short to time steadily, so the unit first
+        # makes the same trace TRACE_SETUPS times and keeps the median.
+        # (These calls bypass the tracer, which wraps run_replay's own.)
+        setups = []
+        for _ in range(TRACE_SETUPS):
+            with gauge.section() as setup:
+                generate_columnar_trace(config.trace, derive_rng(config.seed, "trace"))
+            setups.append(setup)
+        with gauge.section() as replay:
+            with _span(tracer, "gateway.replay"):
+                result = run_replay(config, workers=1)
+        # run_replay times its own trace generation; the rest is the work.
+        generate_s = result.timings["generate_s"]
         tiers = result.tier_counts
         checks = []
         if result.n_requests != config.trace.n_requests:
@@ -361,8 +395,9 @@ class GatewayReplay:
         misses = tiers["non_cached"] + tiers["shed"]
         totals = result.overload_totals
         return UnitResult(
-            setup_s=setup_s,
-            work_s=total_s - setup_s,
+            **_timings(statistics.median(setup.scaled() for setup in setups),
+                       replay.scaled(replay.host_s - generate_s),
+                       **{f"setup{i}": setup for i, setup in enumerate(setups)}, replay=replay),
             completed=result.n_requests,
             attempted=result.n_requests,
             failed=tiers["shed"],
