@@ -30,10 +30,13 @@ from dataclasses import dataclass
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import ScenarioConfig, build_scenario
 from repro.simnet.compact import build_compact_world
-from repro.workloads.compact import generate_compact_population
 from repro.simnet.sim import Future, Simulator
 from repro.utils.rng import derive_rng
-from repro.workloads.population import PopulationConfig, generate_population
+from repro.workloads.population import (
+    PopulationConfig,
+    generate_compact_population,
+    generate_population,
+)
 
 SCHEMA_VERSION = 1
 

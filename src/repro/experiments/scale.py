@@ -50,8 +50,7 @@ from repro.validation.compare import (
     worst_grade,
 )
 from repro.validation.targets import TARGETS_BY_KEY
-from repro.workloads.compact import generate_compact_population
-from repro.workloads.population import PopulationConfig
+from repro.workloads.population import PopulationConfig, generate_compact_population
 
 
 @dataclass(frozen=True)

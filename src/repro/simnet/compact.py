@@ -11,11 +11,12 @@ millions of observed ones).
 This module builds the *same world* from columnar state:
 
 - peer attributes stay in the arrays of
-  :class:`~repro.workloads.compact.CompactPopulation`;
-- routing tables are precomputed as flat position arrays by replaying
-  :func:`~repro.dht.bootstrap.populate_routing_tables` draw-for-draw
-  against zero-copy views of the sorted server order (the slice copies
-  made the legacy fill quadratic in network size);
+  :class:`~repro.workloads.population.CompactPopulation`;
+- routing tables are flat position arrays into the sorted server
+  order, filled by :func:`~repro.dht.bootstrap.fill_table_positions`
+  — the one fill :func:`~repro.dht.bootstrap.populate_routing_tables`
+  also runs — and added to a peer's ``RoutingTable`` only when it is
+  materialized;
 - churn schedules are precomputed per peer into one flat delay array
   (the per-peer streams of :class:`~repro.simnet.churn.SessionProcess`,
   drawn ahead of time instead of lazily — same values, same order);
@@ -23,37 +24,31 @@ This module builds the *same world* from columnar state:
   peers some protocol actually touches, materialized on demand through
   :attr:`~repro.simnet.network.SimNetwork.host_resolver`.
 
-Equivalence is not asserted by analogy but *proved* by the differential
-harness in ``tests/simnet/test_compact_equivalence.py``: the same
-seeded population built both ways yields identical routing tables,
-address books, churn transition logs, and a byte-identical protocol
-trace.
+``tests/simnet/test_compact_equivalence.py`` checks that the same
+seeded population built both ways yields identical routing tables
+(pinned by sha256), address books, churn transition logs, and a
+byte-identical protocol trace.
 
 Determinism across workers: the event queue is a
 :class:`~repro.simnet.shard.ShardedSimulator` whose merge executes the
-global ``(time, sequence)`` order for any shard count, and the per-peer
-precompute is chunked through the same pure functions a worker pool
-would run, so every artifact is byte-identical for ``workers`` of 1, 2,
-4, ... — the property pinned for the crawl/churn experiments at paper
-scale.
+global ``(time, sequence)`` order sequentially for any shard count, so
+every artifact is byte-identical for ``workers`` of 1, 2, 4, ... — the
+property pinned for the crawl/churn experiments at paper scale.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import math
 import random
 import sys
 from array import array
-from collections.abc import Sequence
 from functools import partial
 
 from repro.bitswap.engine import BitswapEngine
 from repro.blockstore.memory import MemoryBlockstore
+from repro.dht.bootstrap import fill_table_positions
 from repro.dht.dht_node import DhtNode
-from repro.dht.keyspace import KEY_BITS
-from repro.dht.routing_table import K_BUCKET_SIZE
 from repro.errors import SimulationError
 from repro.multiformats.peerid import PeerId
 from repro.simnet.latency import Region
@@ -61,7 +56,12 @@ from repro.simnet.network import SimHost, SimNetwork
 from repro.simnet.shard import ShardedSimulator
 from repro.simnet.transport import Transport
 from repro.utils.rng import derive_rng
-from repro.workloads.compact import REACHABILITY_NAMES, CompactPopulation
+from repro.workloads.population import (
+    REACH_CHURNING,
+    REACH_NEVER,
+    REACH_RELIABLE,
+    CompactPopulation,
+)
 
 #: Churn schedules are pre-drawn out to this horizon (simulated
 #: seconds); runs past it leave hosts frozen in their final state (and
@@ -72,61 +72,12 @@ DEFAULT_CHURN_HORIZON_S = 24 * 3600.0
 _ALL_TRANSPORTS = frozenset({Transport.TCP, Transport.QUIC, Transport.WEBSOCKET})
 _WS_ONLY = frozenset({Transport.WEBSOCKET})
 
-_REACH_CHURNING = REACHABILITY_NAMES.index("churning")
-_REACH_RELIABLE = REACHABILITY_NAMES.index("reliable")
-_REACH_NEVER = REACHABILITY_NAMES.index("never")
-
 #: stable region -> shard-key mapping (enum definition order)
 _REGION_INDEX = {region: index for index, region in enumerate(Region)}
 
 
-class _SliceView(Sequence):
-    """A zero-copy window onto a sorted positions array.
-
-    ``random.sample`` only needs ``len`` and integer ``__getitem__``,
-    and its draws depend solely on the population *length* — so handing
-    it a view over ``positions[lo:hi]`` consumes the exact RNG stream
-    the legacy fill's slice copies did, without the O(interval) copy
-    that made bucket 0 (half the keyspace) quadratic over all nodes.
-    """
-
-    __slots__ = ("_base", "_lo", "_hi")
-
-    def __init__(self, base, lo: int, hi: int) -> None:
-        self._base = base
-        self._lo = lo
-        self._hi = hi
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-    def __getitem__(self, index: int) -> int:
-        # random.sample only indexes 0 <= j < len(self); the base
-        # list's own bounds check guards the upper edge.
-        return self._base[self._lo + index]
-
-    def __iter__(self):
-        # sample's pool path (len <= 85) and the rare leftovers scan
-        # iterate the view; one C-level slice beats the Sequence
-        # mixin's per-element __getitem__ protocol.
-        return iter(self._base[self._lo:self._hi])
-
-
-# -- chunked per-peer precompute ----------------------------------------
-#
-# Each helper is a pure function of (population, chunk bounds): the
-# build runs them over `workers` contiguous chunks and concatenates, so
-# the merged arrays are byte-identical for any worker count.
-
-
-def _chunk_bounds(n: int, workers: int) -> list[tuple[int, int]]:
-    """``workers`` contiguous [lo, hi) chunks covering ``range(n)``."""
-    step = (n + workers - 1) // workers if workers else n
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)] if n else []
-
-
-def _keys_chunk(lo: int, hi: int) -> tuple[list[bytes], list[int]]:
-    """PeerID digests and DHT key ints for peers ``lo..hi`` by formula.
+def _peer_keys(n: int) -> tuple[list[bytes], list[int]]:
+    """PeerID digests and DHT key ints for peers ``0..n`` by formula.
 
     ``PeerId.from_public_key(b"population-peer-%d" % i)`` is sha256 of
     the key material; the DHT key is sha256 of the multihash encoding
@@ -136,7 +87,7 @@ def _keys_chunk(lo: int, hi: int) -> tuple[list[bytes], list[int]]:
     sha = hashlib.sha256
     digests: list[bytes] = []
     key_ints: list[int] = []
-    for index in range(lo, hi):
+    for index in range(n):
         digest = sha(b"population-peer-%d" % index).digest()
         digests.append(digest)
         key_ints.append(
@@ -145,46 +96,44 @@ def _keys_chunk(lo: int, hi: int) -> tuple[list[bytes], list[int]]:
     return digests, key_ints
 
 
-def _churn_chunk(
+def _churn_schedules(
     compact: CompactPopulation,
     seed: int,
     initial_online_probability: float,
     horizon_s: float,
-    lo: int,
-    hi: int,
 ) -> tuple[bytearray, array, array]:
-    """Initial online flags + pre-drawn transition delays for a chunk.
+    """Initial online flags + pre-drawn transition delays, per peer.
 
     Replays :class:`~repro.simnet.churn.SessionProcess` exactly: the
     initial draw, then alternating session/gap samples from the same
     per-peer derived stream. Delays are stored *raw* (not accumulated):
     the churn callback schedules ``delay`` so event times come out of
-    the same ``now + delay`` float accumulation the legacy callbacks
-    produce, bit for bit.
+    the same ``now + delay`` float accumulation the ``SessionProcess``
+    callbacks produce, bit for bit.
     """
-    online = bytearray(hi - lo)
+    online = bytearray(len(compact))
     counts = array("I")
     delays = array("d")
     reach = compact.peer_reach
-    for index in range(lo, hi):
-        if reach[index] != _REACH_CHURNING:
-            online[index - lo] = 1 if reach[index] != _REACH_NEVER else 0
+    for index in range(len(compact)):
+        if reach[index] != REACH_CHURNING:
+            online[index] = 1 if reach[index] != REACH_NEVER else 0
             counts.append(0)
             continue
         model = compact.churn_model_at(index)
         rng = derive_rng(seed, "churn", str(index))
         if math.isinf(model.median_session_s):
-            online[index - lo] = 1
+            online[index] = 1
             counts.append(0)
             continue
         is_online = rng.random() < initial_online_probability
-        online[index - lo] = 1 if is_online else 0
+        online[index] = 1 if is_online else 0
         elapsed = 0.0
         drawn = 0
         state = is_online
         # One overshoot draw past the horizon: every transition a run
         # bounded by the horizon can execute exists, scheduled exactly
-        # when the legacy callbacks would schedule it.
+        # when the SessionProcess callbacks would schedule it.
         while elapsed <= horizon_s:
             if state:
                 delay = model.sample_session_length(rng)
@@ -301,7 +250,7 @@ class CompactWorld:
             region=compact.region_at(index),
             peer_class=compact.peer_class_at(index),
             transports=_WS_ONLY if self._ws[index] else _ALL_TRANSPORTS,
-            nat_private=reach == _REACH_NEVER,
+            nat_private=reach == REACH_NEVER,
             online=bool(self._online[index]),
         )
         host.agent_version = compact.agent_at(index)  # type: ignore[attr-defined]
@@ -309,13 +258,13 @@ class CompactWorld:
         node = DhtNode(
             self.sim, self.net, host,
             derive_rng(self.seed, "dht", str(index)),
-            server=self.nat_peers_in_dht or reach != _REACH_NEVER,
+            server=self.nat_peers_in_dht or reach != REACH_NEVER,
         )
         engine = BitswapEngine(self.sim, self.net, host, MemoryBlockstore())
-        # Replay the precomputed fill: same entries in the same
-        # insertion order the legacy populate produced, so LRU order
-        # matches too. No add can be rejected (each bucket received at
-        # most `cap` entries from the fill).
+        # Add the precomputed fill: same entries in the same insertion
+        # order populate_routing_tables adds, so LRU order matches too.
+        # No add can be rejected (the fill gives each bucket at most
+        # K_BUCKET_SIZE entries).
         add = node.routing_table.add
         order = self._server_order
         pid_at = compact.peer_id_at
@@ -376,79 +325,23 @@ class CompactWorld:
 
     # -- routing-table precompute --------------------------------------
 
-    def _fill_tables(
-        self,
-        rng: random.Random,
-        sample_cap: int | None = None,
-        stale_fraction: float = 0.05,
-    ) -> None:
-        """Replay ``populate_routing_tables`` draw-for-draw into flat
-        position arrays (see module docstring for why views, not
-        slices)."""
-        compact = self.compact
-        n = self.n
-        reach = compact.peer_reach
+    def _fill_tables(self, rng: random.Random) -> None:
+        """Fill every peer's routing table into flat position arrays,
+        exactly as ``populate_routing_tables`` fills live tables."""
+        reach = self.compact.peer_reach
         key_ints = self._key_ints
         in_dht = self.nat_peers_in_dht
         order = sorted(
-            (i for i in range(n) if in_dht or reach[i] != _REACH_NEVER),
+            (i for i in range(self.n) if in_dht or reach[i] != REACH_NEVER),
             key=key_ints.__getitem__,
         )
-        keys = [key_ints[i] for i in order]
         online = self._online
-        live: list[int] = []
-        stale: list[int] = []
-        for pos, index in enumerate(order):
-            (live if online[index] else stale).append(pos)
-
-        entries = self._table_entries
-        off = self._table_off
-        append = entries.append
-        bl = bisect.bisect_left
-        sample = rng.sample
-        cap = sample_cap if sample_cap is not None else K_BUCKET_SIZE
-        n_servers = len(keys)
-        for i in range(n):
-            own_int = key_ints[i]
-            cur_lo, cur_hi = 0, n_servers
-            for bucket in range(KEY_BITS):
-                if cur_hi - cur_lo <= cap:
-                    for pos in range(cur_lo, cur_hi):
-                        if keys[pos] != own_int:
-                            append(pos)
-                    break
-                shift = KEY_BITS - bucket - 1
-                prefix = own_int >> shift
-                if prefix & 1:
-                    mid = bl(keys, prefix << shift, cur_lo, cur_hi)
-                    start, end = cur_lo, mid
-                    cur_lo = mid
-                else:
-                    mid = bl(keys, (prefix ^ 1) << shift, cur_lo, cur_hi)
-                    start, end = mid, cur_hi
-                    cur_hi = mid
-                if start >= end:
-                    continue
-                if end - start <= cap:
-                    for pos in range(start, end):
-                        if keys[pos] != own_int:
-                            append(pos)
-                    continue
-                live_view = _SliceView(live, bl(live, start), bl(live, end))
-                stale_view = _SliceView(stale, bl(stale, start), bl(stale, end))
-                n_stale = min(len(stale_view), int(cap * stale_fraction))
-                chosen = sample(live_view, min(len(live_view), cap - n_stale))
-                chosen += sample(stale_view, n_stale)
-                if len(chosen) < cap:
-                    taken = set(chosen)
-                    leftovers = [p for p in stale_view if p not in taken]
-                    chosen += sample(
-                        leftovers, min(len(leftovers), cap - len(chosen))
-                    )
-                for pos in chosen:
-                    if keys[pos] != own_int:
-                        append(pos)
-            off.append(len(entries))
+        self._table_entries, self._table_off = fill_table_positions(
+            [key_ints[i] for i in order],
+            [online[i] for i in order],
+            key_ints,
+            rng,
+        )
         self._server_order = array("i", order)
 
     # -- accounting ----------------------------------------------------
@@ -480,12 +373,12 @@ def build_compact_world(
     *,
     workers: int = 1,
     churn_horizon_s: float = DEFAULT_CHURN_HORIZON_S,
-    lookahead: float | None = None,
 ) -> CompactWorld:
     """Build the scenario ``build_scenario`` would build, compactly.
 
-    ``workers`` shards both the per-peer precompute (chunked through
-    pure functions) and the kernel's event queue; results are
+    ``workers`` is the number of per-region event queues of the
+    :class:`~repro.simnet.shard.ShardedSimulator`; their merge runs
+    events sequentially in one global order, so results are
     byte-identical for any value. ``config`` is a
     :class:`~repro.experiments.scenario.ScenarioConfig` (NAT worlds are
     not supported compactly yet — build those with ``build_scenario``).
@@ -502,7 +395,7 @@ def build_compact_world(
         raise SimulationError(f"need at least one worker, got {workers}")
 
     n = len(compact)
-    sim = ShardedSimulator(shards=workers, lookahead=lookahead)
+    sim = ShardedSimulator(shards=workers)
     net = SimNetwork(sim, derive_rng(config.seed, "net"))
     world = CompactWorld(compact, config, sim, net)
 
@@ -515,35 +408,27 @@ def build_compact_world(
         if draw() < 0.05:
             ws[index] = 1
 
-    bounds = _chunk_bounds(n, workers)
-
-    # Identity: PeerID digests + DHT key ints, chunked.
-    digests: list[bytes] = []
-    key_ints: list[int] = []
-    for lo, hi in bounds:
-        chunk_digests, chunk_keys = _keys_chunk(lo, hi)
-        digests.extend(chunk_digests)
-        key_ints.extend(chunk_keys)
+    # Identity: PeerID digests + DHT key ints.
+    digests, key_ints = _peer_keys(n)
     world._index = {digest: index for index, digest in enumerate(digests)}
     world._key_ints = key_ints
 
-    # Churn: initial draws + pre-drawn schedules, chunked. The initial
-    # draw happens at SessionProcess construction in build_scenario,
-    # i.e. *before* table fill — reachability at fill time reflects it.
+    # Churn: initial draws + pre-drawn schedules. The initial draw
+    # happens at SessionProcess construction in build_scenario, i.e.
+    # *before* table fill — reachability at fill time reflects it.
     if config.with_churn:
-        for (lo, hi) in bounds:
-            online, counts, delays = _churn_chunk(
-                compact, config.seed, config.initial_online_probability,
-                churn_horizon_s, lo, hi,
-            )
-            world._online[lo:hi] = online
-            for count in counts:
-                world._churn_off.append(world._churn_off[-1] + count)
-            world._churn_delays.extend(delays)
+        online, counts, delays = _churn_schedules(
+            compact, config.seed, config.initial_online_probability,
+            churn_horizon_s,
+        )
+        world._online[:] = online
+        for count in counts:
+            world._churn_off.append(world._churn_off[-1] + count)
+        world._churn_delays = delays
     else:
         reach = compact.peer_reach
         for index in range(n):
-            world._online[index] = 1 if reach[index] != _REACH_NEVER else 0
+            world._online[index] = 1 if reach[index] != REACH_NEVER else 0
         world._churn_off.extend([0] * n)
     world._churn_cursor = array("Q", world._churn_off[:n])
     if config.with_churn:
@@ -556,7 +441,7 @@ def build_compact_world(
     bootstrap: list[PeerId] = []
     reach = compact.peer_reach
     for index in range(n):
-        if reach[index] == _REACH_RELIABLE:
+        if reach[index] == REACH_RELIABLE:
             bootstrap.append(compact.peer_id_at(index))
             if len(bootstrap) == N_BOOTSTRAP:
                 break

@@ -1,452 +1,12 @@
-"""Compact struct-of-arrays population state for million-peer worlds.
+"""The columnar population generator under its earlier module name.
 
-:func:`repro.workloads.population.generate_population` builds one
-``PeerSpec`` dataclass, one ``PeerId``, and several string IPs per peer
-— about 2 KB/peer of object graph, which caps practical world sizes
-around 50k peers. This module is its *columnar twin* (the same idiom as
-``ColumnarTrace`` for the gateway day): the generator consumes the RNG
-stream call-for-call identically to the legacy generator — precomputed
-``cum_weights`` draws, packed-integer IP synthesis with the identical
-collision-retry loop — but stores the result as parallel arrays:
-
-- per peer: country code, reachability, peer class, agent version, and
-  an offset into the flat address table;
-- per address slot: packed IPv4, ASN, country code, cloud code.
-
-``PeerSpec``/``PeerId`` objects are materialized lazily, only when
-protocol or analysis code touches one peer, and
-:meth:`CompactPopulation.to_population` rebuilds the full legacy
-``Population`` (specs + registries) for the differential tests.
-
-Equivalence is pinned by ``tests/workloads/test_compact_population.py``:
-for the same (config, seed) the materialized specs and registries are
-equal to the legacy generator's output, field for field.
+:class:`~repro.workloads.population.CompactPopulation` and
+:func:`~repro.workloads.population.generate_compact_population` live in
+:mod:`repro.workloads.population`, beside the calibration tables they
+draw from; this module re-exports them for code that imports them from
+here, such as the benchmark under ``perfbench/``.
 """
 
-from __future__ import annotations
+from repro.workloads.population import CompactPopulation, generate_compact_population
 
-import random
-from array import array
-from itertools import accumulate
-
-from repro.measurement.registries import CloudRegistry, GeoIpRegistry
-from repro.multiformats.peerid import PeerId
-from repro.simnet.churn import ChurnModel
-from repro.simnet.latency import PeerClass, Region
-from repro.workloads.population import (
-    CLOUD_SHARES,
-    COUNTRY_REGION,
-    IP_MULTIPLIER,
-    N_TAIL_COUNTRIES,
-    PEER_COUNTRY_SHARES,
-    _AGENT_VERSIONS,
-    _MEGA_IP_COUNTRIES,
-    _NAMED_SHARE_SCALE,
-    _build_as_table,
-    _churn_model_for,
-    _mega_probability,
-    _sample_class,
-    _sample_extra_ip_count,
-    _sample_reachability,
-    Population,
-    PopulationConfig,
-    PeerSpec,
-)
-
-#: Reachability codes (array values -> the legacy string tags).
-REACHABILITY_NAMES = ("churning", "reliable", "never")
-REACH_CHURNING, REACH_RELIABLE, REACH_NEVER = 0, 1, 2
-
-#: Peer-class codes (array values -> the latency-model enum).
-PEER_CLASSES = (PeerClass.HOME, PeerClass.SLOW, PeerClass.DATACENTER)
-
-_REACH_CODE = {name: code for code, name in enumerate(REACHABILITY_NAMES)}
-_CLASS_CODE = {cls: code for code, cls in enumerate(PEER_CLASSES)}
-_AGENT_NAMES = [name for name, _ in _AGENT_VERSIONS]
-
-
-def pack_ip(ip: str) -> int:
-    """``"a.b.c.d"`` -> the 32-bit integer the compact arrays store."""
-    a, b, c, d = ip.split(".")
-    return (((int(a) << 8) | int(b)) << 16) | (int(c) << 8) | int(d)
-
-
-def unpack_ip(packed: int) -> str:
-    return "%d.%d.%d.%d" % (
-        (packed >> 24) & 0xFF, (packed >> 16) & 0xFF,
-        (packed >> 8) & 0xFF, packed & 0xFF,
-    )
-
-
-class CompactPopulation:
-    """Struct-of-arrays peer state with lazy ``PeerSpec`` materialization."""
-
-    __slots__ = (
-        "config",
-        "countries",
-        "peer_country",
-        "peer_reach",
-        "peer_class",
-        "peer_agent",
-        "ip_off",
-        "addr_ip",
-        "addr_asn",
-        "addr_country",
-        "addr_cloud",
-        "as_table",
-        "mega_creations",
-        "_peer_ids",
-        "_region_by_code",
-    )
-
-    def __init__(
-        self,
-        config: PopulationConfig,
-        countries: list[str],
-        peer_country: array,
-        peer_reach: array,
-        peer_class: array,
-        peer_agent: array,
-        ip_off: array,
-        addr_ip: array,
-        addr_asn: array,
-        addr_country: array,
-        addr_cloud: array,
-        as_table: list,
-        mega_creations: list[tuple[int, int, int, int]],
-    ) -> None:
-        self.config = config
-        self.countries = countries
-        self.peer_country = peer_country
-        self.peer_reach = peer_reach
-        self.peer_class = peer_class
-        self.peer_agent = peer_agent
-        self.ip_off = ip_off
-        self.addr_ip = addr_ip
-        self.addr_asn = addr_asn
-        self.addr_country = addr_country
-        self.addr_cloud = addr_cloud
-        self.as_table = as_table
-        self.mega_creations = mega_creations
-        self._peer_ids: list[PeerId | None] = [None] * len(peer_country)
-        self._region_by_code = [
-            COUNTRY_REGION.get(name, Region.EU) for name in countries
-        ]
-
-    def __len__(self) -> int:
-        return len(self.peer_country)
-
-    @property
-    def n_peers(self) -> int:
-        return len(self.peer_country)
-
-    def nbytes(self) -> int:
-        """Bytes held by the columnar state (arrays only)."""
-        total = 0
-        for name in (
-            "peer_country", "peer_reach", "peer_class", "peer_agent",
-            "ip_off", "addr_ip", "addr_asn", "addr_country", "addr_cloud",
-        ):
-            column = getattr(self, name)
-            total += column.buffer_info()[1] * column.itemsize
-        return total
-
-    # -- lazy per-peer materialization ----------------------------------
-
-    def peer_id_at(self, index: int) -> PeerId:
-        """The peer's ``PeerId`` (memoized; a pure function of index)."""
-        peer_id = self._peer_ids[index]
-        if peer_id is None:
-            peer_id = PeerId.from_public_key(b"population-peer-%d" % index)
-            self._peer_ids[index] = peer_id
-        return peer_id
-
-    def country_at(self, index: int) -> str:
-        return self.countries[self.peer_country[index]]
-
-    def region_at(self, index: int) -> Region:
-        return self._region_by_code[self.peer_country[index]]
-
-    def reachability_at(self, index: int) -> str:
-        return REACHABILITY_NAMES[self.peer_reach[index]]
-
-    def peer_class_at(self, index: int) -> PeerClass:
-        return PEER_CLASSES[self.peer_class[index]]
-
-    def agent_at(self, index: int) -> str:
-        return _AGENT_NAMES[self.peer_agent[index]]
-
-    def churn_model_at(self, index: int) -> ChurnModel:
-        return _churn_model_for(self.country_at(index))
-
-    def ips_at(self, index: int) -> tuple[str, ...]:
-        lo, hi = self.ip_off[index], self.ip_off[index + 1]
-        return tuple(unpack_ip(self.addr_ip[slot]) for slot in range(lo, hi))
-
-    def cloud_at(self, index: int) -> str | None:
-        code = self.addr_cloud[self.ip_off[index]]
-        return None if code < 0 else CLOUD_SHARES[code][0]
-
-    def spec_at(self, index: int) -> PeerSpec:
-        """Materialize the full legacy ``PeerSpec`` for one peer."""
-        lo, hi = self.ip_off[index], self.ip_off[index + 1]
-        country = self.country_at(index)
-        return PeerSpec(
-            index=index,
-            peer_id=self.peer_id_at(index),
-            ips=self.ips_at(index),
-            country=country,
-            countries=tuple(
-                self.countries[self.addr_country[slot]]
-                for slot in range(lo, hi)
-            ),
-            asn=self.addr_asn[lo],
-            region=self._region_by_code[self.peer_country[index]],
-            cloud_provider=self.cloud_at(index),
-            reachability=REACHABILITY_NAMES[self.peer_reach[index]],
-            peer_class=PEER_CLASSES[self.peer_class[index]],
-            churn_model=_churn_model_for(country),
-            agent_version=_AGENT_NAMES[self.peer_agent[index]],
-        )
-
-    # -- the legacy bridge ----------------------------------------------
-
-    def to_population(self) -> Population:
-        """Materialize the full legacy ``Population`` (specs + registries).
-
-        Registries are rebuilt by replaying address creation order:
-        the ten mega IPs first, then each address slot's IP on first
-        sight — the same insertion order the legacy generator produced.
-        """
-        geo = GeoIpRegistry()
-        clouds = CloudRegistry()
-        for name, _ in CLOUD_SHARES:
-            clouds.add_provider(name)
-        for info, _country, _share in self.as_table:
-            geo.add_as(info)
-        seen: set[int] = set()
-
-        def register(packed: int, country_code: int, asn: int, cloud: int) -> None:
-            if packed in seen:
-                return
-            seen.add(packed)
-            ip = unpack_ip(packed)
-            geo.add_ip(ip, self.countries[country_code], asn)
-            if cloud >= 0:
-                clouds.add_ip(ip, CLOUD_SHARES[cloud][0])
-
-        for packed, country_code, asn, cloud in self.mega_creations:
-            register(packed, country_code, asn, cloud)
-        for slot in range(len(self.addr_ip)):
-            register(
-                self.addr_ip[slot], self.addr_country[slot],
-                self.addr_asn[slot], self.addr_cloud[slot],
-            )
-        peers = [self.spec_at(index) for index in range(len(self))]
-        return Population(peers, geo, clouds, self.config)
-
-
-def _synth_ip_packed(rng: random.Random, used: set[int]) -> int:
-    """The legacy ``_synth_ip`` draw loop over packed integers.
-
-    Draw-for-draw identical: the packed value collides exactly when the
-    dotted string would (the mapping is a bijection), so the retry loop
-    consumes the same number of draws.
-    """
-    while True:
-        packed = (
-            (((rng.randrange(1, 224) << 8) | rng.randrange(256)) << 16)
-            | (rng.randrange(256) << 8) | rng.randrange(1, 255)
-        )
-        if packed not in used:
-            used.add(packed)
-            return packed
-
-
-def _sample_cloud_code(rng: random.Random) -> int:
-    """``_sample_cloud`` with the identical accumulation, as an index."""
-    roll = rng.random()
-    cumulative = 0.0
-    for code, (_name, share) in enumerate(CLOUD_SHARES):
-        cumulative += share
-        if roll < cumulative:
-            return code
-    return -1
-
-
-def generate_compact_population(
-    config: PopulationConfig, rng: random.Random
-) -> CompactPopulation:
-    """The columnar twin of :func:`generate_population`.
-
-    Consumes ``rng`` in the identical call sequence (``cum_weights``
-    choices draw exactly like weighted choices; the packed-IP synth
-    retries exactly when the string synth would), so for the same
-    (config, seed) the materialized output equals the legacy one.
-    """
-    as_table = _build_as_table(rng, config.n_tail_ases)
-
-    # Country-code interning: sampler countries first (stable codes for
-    # the hot path), then any AS-table-only countries on first sight.
-    countries: list[str] = []
-    code_of: dict[str, int] = {}
-
-    def intern(country: str) -> int:
-        code = code_of.get(country)
-        if code is None:
-            code = len(countries)
-            code_of[country] = code
-            countries.append(country)
-        return code
-
-    # Per-country AS index with precomputed cumulative weights:
-    # ``choices(asns, cum_weights=...)`` draws the same single
-    # ``random()`` as ``choices(asns, weights)`` and selects the same
-    # element, in O(log n) instead of O(n).
-    by_country: dict[str, tuple[list[int], list[float]]] = {}
-    for info, country, share in as_table:
-        asns, weights = by_country.setdefault(country, ([], []))
-        asns.append(info.asn)
-        weights.append(share)
-    by_country_cum = {
-        country: (asns, list(accumulate(weights)))
-        for country, (asns, weights) in by_country.items()
-    }
-    fallback_asns = [info.asn for info, _, _ in as_table[:200]]
-    fallback_cum = list(accumulate(share for _, _, share in as_table[:200]))
-
-    used: set[int] = set()
-
-    def new_ip(country: str) -> tuple[int, int, int, int]:
-        """(packed ip, asn, cloud code, country code) — legacy draw order."""
-        asns, cum = by_country_cum.get(country, (fallback_asns, fallback_cum))
-        asn = rng.choices(asns, cum_weights=cum)[0]
-        packed = _synth_ip_packed(rng, used)
-        cloud = _sample_cloud_code(rng)
-        return packed, asn, cloud, intern(country)
-
-    sample_country = _compact_country_sampler(rng)
-
-    mega_creations: list[tuple[int, int, int, int]] = []
-    mega_by_country: dict[str, tuple[list[tuple[int, int, int]], list[float]]] = {}
-    for position, country in enumerate(_MEGA_IP_COUNTRIES):
-        packed, asn, cloud, country_code = new_ip(country)
-        mega_creations.append((packed, country_code, asn, cloud))
-        entries, weights = mega_by_country.setdefault(country, ([], []))
-        entries.append((packed, asn, cloud))
-        weights.append(1.0 / (position + 1))
-
-    shared_pool: dict[str, list[tuple[int, int, int]]] = {}
-    agent_indexes = list(range(len(_AGENT_VERSIONS)))
-    agent_cum = list(accumulate(weight for _, weight in _AGENT_VERSIONS))
-
-    n = config.n_peers
-    peer_country = array("H", bytes(2 * n))
-    peer_reach = array("b", bytes(n))
-    peer_class = array("b", bytes(n))
-    peer_agent = array("b", bytes(n))
-    ip_off = array("I", bytes(4 * (n + 1)))
-    addr_ip = array("I")
-    addr_asn = array("i")
-    addr_country = array("H")
-    addr_cloud = array("b")
-
-    def push_slot(packed: int, asn: int, cloud: int, country_code: int) -> None:
-        addr_ip.append(packed)
-        addr_asn.append(asn)
-        addr_country.append(country_code)
-        addr_cloud.append(cloud)
-
-    for index in range(n):
-        country = sample_country()
-        country_code = intern(country)
-        megas = mega_by_country.get(country)
-        if megas is not None and rng.random() < _mega_probability(country):
-            entries, weights = megas
-            packed, asn, cloud = rng.choices(entries, weights)[0]
-            push_slot(packed, asn, cloud, country_code)
-        else:
-            _give_addresses_compact(
-                rng, country, country_code, new_ip, sample_country,
-                shared_pool, intern, push_slot,
-            )
-        first = ip_off[index]
-        cloud_name = (
-            None if addr_cloud[first] < 0 else CLOUD_SHARES[addr_cloud[first]][0]
-        )
-        reachability = _sample_reachability(rng, config, cloud_name)
-        peer_klass = _sample_class(rng, config, cloud_name)
-        peer_country[index] = country_code
-        peer_reach[index] = _REACH_CODE[reachability]
-        peer_class[index] = _CLASS_CODE[peer_klass]
-        peer_agent[index] = rng.choices(agent_indexes, cum_weights=agent_cum)[0]
-        ip_off[index + 1] = len(addr_ip)
-
-    return CompactPopulation(
-        config=config,
-        countries=countries,
-        peer_country=peer_country,
-        peer_reach=peer_reach,
-        peer_class=peer_class,
-        peer_agent=peer_agent,
-        ip_off=ip_off,
-        addr_ip=addr_ip,
-        addr_asn=addr_asn,
-        addr_country=addr_country,
-        addr_cloud=addr_cloud,
-        as_table=as_table,
-        mega_creations=mega_creations,
-    )
-
-
-def _compact_country_sampler(rng: random.Random):
-    """``_country_sampler`` with the cum-weights fast path.
-
-    Builds the identical country/weight tables (the legacy helper
-    re-accumulates 152 weights per call — this is the hottest draw of
-    the generator at 1M peers).
-    """
-    countries = [c for c, _ in PEER_COUNTRY_SHARES]
-    weights = [s * _NAMED_SHARE_SCALE for _, s in PEER_COUNTRY_SHARES]
-    tail = ["X%03d" % i for i in range(N_TAIL_COUNTRIES)]
-    tail_total = 1.0 - sum(weights)
-    tail_raw = [1.0 / (i + 1) for i in range(N_TAIL_COUNTRIES)]
-    scale = tail_total / sum(tail_raw)
-    countries += tail
-    weights += [w * scale for w in tail_raw]
-    cum = list(accumulate(weights))
-
-    def sample() -> str:
-        return rng.choices(countries, cum_weights=cum)[0]
-
-    return sample
-
-
-def _give_addresses_compact(
-    rng, country, country_code, new_ip, sample_country, shared_pool,
-    intern, push_slot,
-) -> None:
-    """``_give_addresses`` writing address slots instead of lists."""
-    multiplier = IP_MULTIPLIER.get(country, 1.0)
-    base = _sample_extra_ip_count(rng)
-    extra = min(9, round(base * multiplier + (multiplier - 1.0)))
-    pool = shared_pool.setdefault(country, [])
-    if pool and rng.random() < 0.08:
-        packed, asn, cloud = rng.choice(pool)
-    else:
-        packed, asn, cloud, _code = new_ip(country)
-        if rng.random() < 0.05:
-            pool.append((packed, asn, cloud))
-            if len(pool) > 40:
-                pool.pop(0)
-    push_slot(packed, asn, cloud, country_code)
-    multihomed = rng.random() < 0.13
-    for position in range(max(extra, 1 if multihomed else extra)):
-        other_country = country
-        if multihomed and position == 0:
-            for _ in range(4):
-                other_country = sample_country()
-                if other_country != country:
-                    break
-        packed, asn, cloud, other_code = new_ip(other_country)
-        push_slot(packed, asn, cloud, other_code)
+__all__ = ["CompactPopulation", "generate_compact_population"]

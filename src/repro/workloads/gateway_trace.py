@@ -15,6 +15,12 @@ by ``scale``), with:
 - **referrers**: 51.8 % of traffic arrives via third-party websites,
   70.6 % of that from 72 semi-popular sites hosted mostly in the US,
   Iceland and Canada.
+
+There is one generator, :func:`generate_columnar_trace`; it stores the
+day as parallel arrays (:class:`ColumnarTrace`), so the paper's full
+7.1 M-request day fits in memory. :func:`generate_gateway_trace` is its
+object view, a :class:`GatewayTrace` list of :class:`GatewayRequest`
+rows for the small-scale experiments.
 """
 
 from __future__ import annotations
@@ -108,9 +114,15 @@ class GatewayTrace:
     config: GatewayTraceConfig
     cid_sizes: list[int] = field(default_factory=list)
     pinned_cids: set[int] = field(default_factory=set)
-    _users: set[str] | None = field(default=None, init=False, repr=False)
-    _unique_cids: set[int] | None = field(default=None, init=False, repr=False)
-    _total_bytes: int | None = field(default=None, init=False, repr=False)
+    _users: set[str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _unique_cids: set[int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _total_bytes: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def users(self) -> set[str]:
         if self._users is None:
@@ -171,62 +183,11 @@ def _catalog_sweep_stride(config: GatewayTraceConfig) -> int:
 def generate_gateway_trace(
     config: GatewayTraceConfig, rng: random.Random
 ) -> GatewayTrace:
-    """Generate the full day of requests, sorted by timestamp."""
-    countries, country_weights = _country_pool(rng)
+    """Generate the full day of requests, sorted by timestamp, as objects.
 
-    # Users: each bound to a country; per-user demand is heavy-tailed.
-    user_countries = rng.choices(countries, country_weights, k=config.n_users)
-    user_weights = [rng.paretovariate(1.3) for _ in range(config.n_users)]
-
-    # CID universe: sizes and pinned set.
-    cid_sizes = [sample_object_size(rng) for _ in range(config.n_cids)]
-    n_pinned = max(1, int(config.n_cids * config.pinned_cid_fraction))
-    pinned_cids = set(range(n_pinned))  # the most popular slots: pinning
-    # targets exactly the content initiatives push through the gateway.
-    pinned_weights = _zipf_weights(n_pinned, config.zipf_exponent)
-    open_indices = list(range(n_pinned, config.n_cids))
-    open_weights = _zipf_weights(len(open_indices), config.zipf_exponent)
-
-    referrer_sites = [
-        "site-%02d.example" % index for index in range(SEMI_POPULAR_SITES)
-    ]
-    long_tail_sites = ["tail-%04d.example" % index for index in range(2000)]
-
-    requests: list[GatewayRequest] = []
-    user_indices = list(range(config.n_users))
-    chosen_users = rng.choices(user_indices, user_weights, k=config.n_requests)
-    sweep_stride = _catalog_sweep_stride(config)
-    for index, user_index in enumerate(chosen_users):
-        country = user_countries[user_index]
-        offset = _COUNTRY_UTC_OFFSET.get(country, rng.choice([-8, -5, 0, 1, 8]))
-        timestamp = _sample_diurnal_time(rng, offset, config.seconds_per_day)
-        if rng.random() < config.pinned_request_share:
-            cid_index = rng.choices(range(n_pinned), pinned_weights)[0]
-        else:
-            cid_index = rng.choices(open_indices, open_weights)[0]
-        if sweep_stride and index % sweep_stride == 0:
-            sweep_slot = index // sweep_stride
-            if sweep_slot < config.n_cids:
-                cid_index = sweep_slot
-        referrer = None
-        if rng.random() < REFERRED_FRACTION:
-            if rng.random() < SEMI_POPULAR_FRACTION:
-                referrer = rng.choice(referrer_sites)
-            else:
-                referrer = rng.choice(long_tail_sites)
-        requests.append(
-            GatewayRequest(
-                timestamp=timestamp,
-                user="user-%06d" % user_index,
-                country=country,
-                cid_index=cid_index,
-                size=cid_sizes[cid_index],
-                pinned=cid_index in pinned_cids,
-                referrer=referrer,
-            )
-        )
-    requests.sort(key=lambda request: request.timestamp)
-    return GatewayTrace(requests, config, cid_sizes, pinned_cids)
+    The object view of :func:`generate_columnar_trace`.
+    """
+    return generate_columnar_trace(config, rng).to_gateway_trace()
 
 
 def _sample_diurnal_time(rng: random.Random, utc_offset: int, day: int) -> float:
@@ -308,7 +269,7 @@ class ColumnarTrace:
         return (self.request_at(index) for index in range(len(self.timestamps)))
 
     def to_gateway_trace(self) -> GatewayTrace:
-        """Materialize the legacy list-of-objects trace (small scales)."""
+        """Materialize the list-of-objects view (small scales)."""
         return GatewayTrace(
             list(self.iter_requests()),
             self.config,
@@ -320,9 +281,8 @@ class ColumnarTrace:
 def trace_stream_sha256(requests: Iterable[GatewayRequest]) -> str:
     """Canonical digest of a request stream.
 
-    Both generators hash to the same value for the same seed — the
-    byte-identity contract between the legacy list path and the
-    columnar path.
+    The columnar trace (:meth:`ColumnarTrace.iter_requests`) and its
+    object view (:attr:`GatewayTrace.requests`) hash to the same value.
     """
     digest = hashlib.sha256()
     for request in requests:
@@ -342,22 +302,23 @@ def trace_stream_sha256(requests: Iterable[GatewayRequest]) -> str:
 def generate_columnar_trace(
     config: GatewayTraceConfig, rng: random.Random
 ) -> ColumnarTrace:
-    """Columnar twin of :func:`generate_gateway_trace`.
+    """Generate the full day of requests, sorted by timestamp, as arrays.
 
-    Consumes the RNG stream call-for-call identically to the legacy
-    generator (same seed => byte-identical request streams, pinned by
-    tests), but stores the day as arrays and runs the hot loop with
-    precomputed cumulative Zipf weights: ``rng.choices(pop, weights)``
-    re-accumulates its weight list on *every* call (O(n_cids) per
-    request — infeasible at 274 k CIDs), while passing ``cum_weights=``
-    draws the identical sample from the identical single ``random()``
-    call in O(log n_cids).
+    The hot loop runs with precomputed cumulative Zipf weights:
+    ``rng.choices(pop, weights)`` re-accumulates its weight list on
+    *every* call (O(n_cids) per request — infeasible at 274 k CIDs),
+    while passing ``cum_weights=`` draws the same sample from a single
+    ``random()`` call in O(log n_cids).
     """
     countries, country_weights = _country_pool(rng)
 
+    # Users: each bound to a country; per-user demand is heavy-tailed.
     user_countries = rng.choices(countries, country_weights, k=config.n_users)
     user_weights = [rng.paretovariate(1.3) for _ in range(config.n_users)]
 
+    # CID universe: sizes and pinned set. The most popular slots are
+    # pinned: pinning targets exactly the content initiatives push
+    # through the gateway.
     cid_sizes = [sample_object_size(rng) for _ in range(config.n_cids)]
     n_pinned = max(1, int(config.n_cids * config.pinned_cid_fraction))
     # list(accumulate(w)) is exactly the cum_weights rng.choices()
@@ -388,9 +349,9 @@ def generate_columnar_trace(
     sweep_stride = _catalog_sweep_stride(config)
     for index in range(n):
         country = user_countries[user_ids[index]]
-        # The legacy path evaluates dict.get's default argument eagerly,
-        # drawing one rng.choice per request even when the country is in
-        # the table — replicated here so the streams stay identical.
+        # One fallback-offset draw per request, even when the country
+        # is in the table: the trace's RNG stream has always drawn it,
+        # and every pinned trace digest depends on it.
         fallback = rng_choice([-8, -5, 0, 1, 8])
         offset = offset_table.get(country, fallback)
         timestamps[index] = _sample_diurnal_time(rng, offset, day)
@@ -408,8 +369,7 @@ def generate_columnar_trace(
             else:
                 referrer_codes[index] = rng_choice(tail_codes)
 
-    # Stable argsort by timestamp: the same permutation list.sort(key=
-    # timestamp) applies to the legacy request list.
+    # Stable argsort by timestamp (ties keep generation order).
     order = sorted(range(n), key=timestamps.__getitem__)
     timestamps = array("d", map(timestamps.__getitem__, order))
     user_ids = array("l", map(user_ids.__getitem__, order))

@@ -22,17 +22,34 @@ Because peer-level and IP-level marginals interact (the paper's CN has
 31.7 % of IPs but only 24.2 % of peers), IP attributes are drawn from
 the AS table first and the *mega-IP skew* then shifts the peer-level
 distribution — the same mechanism the paper observes.
+
+There is one generator, :func:`generate_compact_population`, and it
+stores the result as a :class:`CompactPopulation`: flat arrays of about
+900 bytes per peer, so million-peer worlds fit in memory.
+
+- per peer: country code, reachability, peer class, agent version, and
+  an offset into the flat address table;
+- per address slot: packed IPv4, ASN, country code, cloud code.
+
+``PeerSpec``/``PeerId`` objects are views, built only when protocol or
+analysis code touches one peer (:meth:`CompactPopulation.spec_at`).
+:func:`generate_population` is the object view of the whole population
+(:meth:`CompactPopulation.to_population`: specs plus registries), for
+the per-figure experiments that want every peer as an object.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.measurement.registries import AsInfo, CloudRegistry, GeoIpRegistry
 from repro.multiformats.peerid import PeerId
 from repro.simnet.churn import ChurnModel
 from repro.simnet.latency import PeerClass, Region
+
 
 # --------------------------------------------------------------------------
 # Calibration tables
@@ -240,17 +257,6 @@ def _build_as_table(rng: random.Random, n_tail: int) -> list[tuple[AsInfo, str, 
     return table
 
 
-def _synth_ip(rng: random.Random, used: set[str]) -> str:
-    while True:
-        ip = "%d.%d.%d.%d" % (
-            rng.randrange(1, 224), rng.randrange(256),
-            rng.randrange(256), rng.randrange(1, 255),
-        )
-        if ip not in used:
-            used.add(ip)
-            return ip
-
-
 def _churn_model_for(country: str) -> ChurnModel:
     median_min = CHURN_MEDIAN_MIN.get(country, DEFAULT_CHURN_MEDIAN_MIN)
     return ChurnModel(median_session_s=median_min * 60.0)
@@ -262,9 +268,336 @@ _AGENT_VERSIONS = [
     ("other", 0.10),
 ]
 
+#: Reachability codes (array values -> the ``PeerSpec`` string tags).
+REACHABILITY_NAMES = ("churning", "reliable", "never")
+REACH_CHURNING, REACH_RELIABLE, REACH_NEVER = 0, 1, 2
+
+#: Peer-class codes (array values -> the latency-model enum).
+PEER_CLASSES = (PeerClass.HOME, PeerClass.SLOW, PeerClass.DATACENTER)
+
+_REACH_CODE = {name: code for code, name in enumerate(REACHABILITY_NAMES)}
+_CLASS_CODE = {cls: code for code, cls in enumerate(PEER_CLASSES)}
+_AGENT_NAMES = [name for name, _ in _AGENT_VERSIONS]
+
+
+def unpack_ip(packed: int) -> str:
+    """The 32-bit integer the address arrays store -> ``"a.b.c.d"``."""
+    return "%d.%d.%d.%d" % (
+        (packed >> 24) & 0xFF, (packed >> 16) & 0xFF,
+        (packed >> 8) & 0xFF, packed & 0xFF,
+    )
+
+
+class CompactPopulation:
+    """Struct-of-arrays peer state with lazy ``PeerSpec`` materialization."""
+
+    __slots__ = (
+        "config",
+        "countries",
+        "peer_country",
+        "peer_reach",
+        "peer_class",
+        "peer_agent",
+        "ip_off",
+        "addr_ip",
+        "addr_asn",
+        "addr_country",
+        "addr_cloud",
+        "as_table",
+        "mega_creations",
+        "_peer_ids",
+        "_region_by_code",
+    )
+
+    def __init__(
+        self,
+        config: PopulationConfig,
+        countries: list[str],
+        peer_country: array,
+        peer_reach: array,
+        peer_class: array,
+        peer_agent: array,
+        ip_off: array,
+        addr_ip: array,
+        addr_asn: array,
+        addr_country: array,
+        addr_cloud: array,
+        as_table: list,
+        mega_creations: list[tuple[int, int, int, int]],
+    ) -> None:
+        self.config = config
+        self.countries = countries
+        self.peer_country = peer_country
+        self.peer_reach = peer_reach
+        self.peer_class = peer_class
+        self.peer_agent = peer_agent
+        self.ip_off = ip_off
+        self.addr_ip = addr_ip
+        self.addr_asn = addr_asn
+        self.addr_country = addr_country
+        self.addr_cloud = addr_cloud
+        self.as_table = as_table
+        self.mega_creations = mega_creations
+        self._peer_ids: list[PeerId | None] = [None] * len(peer_country)
+        self._region_by_code = [
+            COUNTRY_REGION.get(name, Region.EU) for name in countries
+        ]
+
+    def __len__(self) -> int:
+        return len(self.peer_country)
+
+    @property
+    def n_peers(self) -> int:
+        return len(self.peer_country)
+
+    def nbytes(self) -> int:
+        """Bytes held by the columnar state (arrays only)."""
+        total = 0
+        for name in (
+            "peer_country", "peer_reach", "peer_class", "peer_agent",
+            "ip_off", "addr_ip", "addr_asn", "addr_country", "addr_cloud",
+        ):
+            column = getattr(self, name)
+            total += column.buffer_info()[1] * column.itemsize
+        return total
+
+    # -- lazy per-peer materialization ----------------------------------
+
+    def peer_id_at(self, index: int) -> PeerId:
+        """The peer's ``PeerId`` (memoized; a pure function of index)."""
+        peer_id = self._peer_ids[index]
+        if peer_id is None:
+            peer_id = PeerId.from_public_key(b"population-peer-%d" % index)
+            self._peer_ids[index] = peer_id
+        return peer_id
+
+    def country_at(self, index: int) -> str:
+        return self.countries[self.peer_country[index]]
+
+    def region_at(self, index: int) -> Region:
+        return self._region_by_code[self.peer_country[index]]
+
+    def reachability_at(self, index: int) -> str:
+        return REACHABILITY_NAMES[self.peer_reach[index]]
+
+    def peer_class_at(self, index: int) -> PeerClass:
+        return PEER_CLASSES[self.peer_class[index]]
+
+    def agent_at(self, index: int) -> str:
+        return _AGENT_NAMES[self.peer_agent[index]]
+
+    def churn_model_at(self, index: int) -> ChurnModel:
+        return _churn_model_for(self.country_at(index))
+
+    def ips_at(self, index: int) -> tuple[str, ...]:
+        lo, hi = self.ip_off[index], self.ip_off[index + 1]
+        return tuple(unpack_ip(self.addr_ip[slot]) for slot in range(lo, hi))
+
+    def cloud_at(self, index: int) -> str | None:
+        code = self.addr_cloud[self.ip_off[index]]
+        return None if code < 0 else CLOUD_SHARES[code][0]
+
+    def spec_at(self, index: int) -> PeerSpec:
+        """Materialize the ``PeerSpec`` view of one peer."""
+        lo, hi = self.ip_off[index], self.ip_off[index + 1]
+        country = self.country_at(index)
+        return PeerSpec(
+            index=index,
+            peer_id=self.peer_id_at(index),
+            ips=self.ips_at(index),
+            country=country,
+            countries=tuple(
+                self.countries[self.addr_country[slot]]
+                for slot in range(lo, hi)
+            ),
+            asn=self.addr_asn[lo],
+            region=self._region_by_code[self.peer_country[index]],
+            cloud_provider=self.cloud_at(index),
+            reachability=REACHABILITY_NAMES[self.peer_reach[index]],
+            peer_class=PEER_CLASSES[self.peer_class[index]],
+            churn_model=_churn_model_for(country),
+            agent_version=_AGENT_NAMES[self.peer_agent[index]],
+        )
+
+    # -- the object view -----------------------------------------------
+
+    def to_population(self) -> Population:
+        """Materialize the whole ``Population`` (specs + registries).
+
+        Registries are filled in address creation order: the ten mega
+        IPs first, then each address slot's IP on first sight.
+        """
+        geo = GeoIpRegistry()
+        clouds = CloudRegistry()
+        for name, _ in CLOUD_SHARES:
+            clouds.add_provider(name)
+        for info, _country, _share in self.as_table:
+            geo.add_as(info)
+        seen: set[int] = set()
+
+        def register(packed: int, country_code: int, asn: int, cloud: int) -> None:
+            if packed in seen:
+                return
+            seen.add(packed)
+            ip = unpack_ip(packed)
+            geo.add_ip(ip, self.countries[country_code], asn)
+            if cloud >= 0:
+                clouds.add_ip(ip, CLOUD_SHARES[cloud][0])
+
+        for packed, country_code, asn, cloud in self.mega_creations:
+            register(packed, country_code, asn, cloud)
+        for slot in range(len(self.addr_ip)):
+            register(
+                self.addr_ip[slot], self.addr_country[slot],
+                self.addr_asn[slot], self.addr_cloud[slot],
+            )
+        peers = [self.spec_at(index) for index in range(len(self))]
+        return Population(peers, geo, clouds, self.config)
+
+
+def generate_population(
+    config: PopulationConfig, rng: random.Random
+) -> Population:
+    """Generate a population plus its consistent registries, as objects.
+
+    The object view of :func:`generate_compact_population`.
+    """
+    return generate_compact_population(config, rng).to_population()
+
+
+def generate_compact_population(
+    config: PopulationConfig, rng: random.Random
+) -> CompactPopulation:
+    """Generate a population as flat arrays.
+
+    Deterministic for a given (config, RNG state). Peers get their
+    country first (Fig 5 marginals), then addresses within that
+    country's ASes; per-country IP multipliers and the mega-IP skew
+    reproduce the IP-level marginals (Table 2, Fig 7c).
+    """
+    as_table = _build_as_table(rng, config.n_tail_ases)
+
+    # Country-code interning: sampler countries first (stable codes for
+    # the hot path), then any AS-table-only countries on first sight.
+    countries: list[str] = []
+    code_of: dict[str, int] = {}
+
+    def intern(country: str) -> int:
+        code = code_of.get(country)
+        if code is None:
+            code = len(countries)
+            code_of[country] = code
+            countries.append(country)
+        return code
+
+    # Per-country AS index (weights = the AS's global share), with
+    # precomputed cumulative weights: ``choices(asns, cum_weights=...)``
+    # draws one ``random()`` and bisects, in O(log n) instead of
+    # re-accumulating the weights on every call.
+    by_country: dict[str, tuple[list[int], list[float]]] = {}
+    for info, country, share in as_table:
+        asns, weights = by_country.setdefault(country, ([], []))
+        asns.append(info.asn)
+        weights.append(share)
+    by_country_cum = {
+        country: (asns, list(accumulate(weights)))
+        for country, (asns, weights) in by_country.items()
+    }
+    fallback_asns = [info.asn for info, _, _ in as_table[:200]]
+    fallback_cum = list(accumulate(share for _, _, share in as_table[:200]))
+
+    used: set[int] = set()
+
+    def new_ip(country: str) -> tuple[int, int, int, int]:
+        """(packed ip, asn, cloud code, country code) of a fresh address."""
+        asns, cum = by_country_cum.get(country, (fallback_asns, fallback_cum))
+        asn = rng.choices(asns, cum_weights=cum)[0]
+        packed = _synth_ip(rng, used)
+        cloud = _sample_cloud(rng)
+        return packed, asn, cloud, intern(country)
+
+    sample_country = _country_sampler(rng)
+
+    # The ten mega IPs (Fig 7c), in fixed countries roughly matching
+    # the peer-country distribution so they do not skew Fig 5.
+    mega_creations: list[tuple[int, int, int, int]] = []
+    mega_by_country: dict[str, tuple[list[tuple[int, int, int]], list[float]]] = {}
+    for position, country in enumerate(_MEGA_IP_COUNTRIES):
+        packed, asn, cloud, country_code = new_ip(country)
+        mega_creations.append((packed, country_code, asn, cloud))
+        entries, weights = mega_by_country.setdefault(country, ([], []))
+        entries.append((packed, asn, cloud))
+        weights.append(1.0 / (position + 1))
+
+    shared_pool: dict[str, list[tuple[int, int, int]]] = {}
+    agent_indexes = list(range(len(_AGENT_VERSIONS)))
+    agent_cum = list(accumulate(weight for _, weight in _AGENT_VERSIONS))
+
+    n = config.n_peers
+    peer_country = array("H", bytes(2 * n))
+    peer_reach = array("b", bytes(n))
+    peer_class = array("b", bytes(n))
+    peer_agent = array("b", bytes(n))
+    ip_off = array("I", bytes(4 * (n + 1)))
+    addr_ip = array("I")
+    addr_asn = array("i")
+    addr_country = array("H")
+    addr_cloud = array("b")
+
+    def push_slot(packed: int, asn: int, cloud: int, country_code: int) -> None:
+        addr_ip.append(packed)
+        addr_asn.append(asn)
+        addr_country.append(country_code)
+        addr_cloud.append(cloud)
+
+    for index in range(n):
+        country = sample_country()
+        country_code = intern(country)
+        megas = mega_by_country.get(country)
+        if megas is not None and rng.random() < _mega_probability(country):
+            entries, weights = megas
+            packed, asn, cloud = rng.choices(entries, weights)[0]
+            push_slot(packed, asn, cloud, country_code)
+        else:
+            _give_addresses(
+                rng, country, country_code, new_ip, sample_country,
+                shared_pool, intern, push_slot,
+            )
+        first = ip_off[index]
+        cloud_name = (
+            None if addr_cloud[first] < 0 else CLOUD_SHARES[addr_cloud[first]][0]
+        )
+        reachability = _sample_reachability(rng, config, cloud_name)
+        peer_klass = _sample_class(rng, config, cloud_name)
+        peer_country[index] = country_code
+        peer_reach[index] = _REACH_CODE[reachability]
+        peer_class[index] = _CLASS_CODE[peer_klass]
+        peer_agent[index] = rng.choices(agent_indexes, cum_weights=agent_cum)[0]
+        ip_off[index + 1] = len(addr_ip)
+
+    return CompactPopulation(
+        config=config,
+        countries=countries,
+        peer_country=peer_country,
+        peer_reach=peer_reach,
+        peer_class=peer_class,
+        peer_agent=peer_agent,
+        ip_off=ip_off,
+        addr_ip=addr_ip,
+        addr_asn=addr_asn,
+        addr_country=addr_country,
+        addr_cloud=addr_cloud,
+        as_table=as_table,
+        mega_creations=mega_creations,
+    )
+
 
 def _country_sampler(rng: random.Random):
-    """Returns a zero-arg sampler of peer countries (Fig 5 targets)."""
+    """Returns a zero-arg sampler of peer countries (Fig 5 targets).
+
+    The weights are accumulated once: this is the hottest draw of the
+    generator at 1M peers.
+    """
     countries = [c for c, _ in PEER_COUNTRY_SHARES]
     weights = [s * _NAMED_SHARE_SCALE for _, s in PEER_COUNTRY_SHARES]
     tail = ["X%03d" % i for i in range(N_TAIL_COUNTRIES)]
@@ -274,117 +607,19 @@ def _country_sampler(rng: random.Random):
     scale = tail_total / sum(tail_raw)
     countries += tail
     weights += [w * scale for w in tail_raw]
+    cum = list(accumulate(weights))
 
     def sample() -> str:
-        return rng.choices(countries, weights)[0]
+        return rng.choices(countries, cum_weights=cum)[0]
 
     return sample
 
 
-def generate_population(
-    config: PopulationConfig, rng: random.Random
-) -> Population:
-    """Generate a population plus its consistent registries.
-
-    Deterministic for a given (config, RNG state). Peers get their
-    country first (Fig 5 marginals), then addresses within that
-    country's ASes; per-country IP multipliers and the mega-IP skew
-    reproduce the IP-level marginals (Table 2, Fig 7c).
-    """
-    geo = GeoIpRegistry()
-    clouds = CloudRegistry()
-    for name, _ in CLOUD_SHARES:
-        clouds.add_provider(name)
-    as_table = _build_as_table(rng, config.n_tail_ases)
-    for info, _country, _share in as_table:
-        geo.add_as(info)
-
-    # Per-country AS index (weights = the AS's global share).
-    by_country: dict[str, tuple[list[int], list[float]]] = {}
-    for info, country, share in as_table:
-        asns, weights = by_country.setdefault(country, ([], []))
-        asns.append(info.asn)
-        weights.append(share)
-    fallback_asns = [info.asn for info, _, _ in as_table[:200]]
-    fallback_weights = [share for _, _, share in as_table[:200]]
-
-    used_ips: set[str] = set()
-
-    def new_ip(country: str) -> tuple[str, int]:
-        asns, weights = by_country.get(country, (fallback_asns, fallback_weights))
-        asn = rng.choices(asns, weights)[0]
-        ip = _synth_ip(rng, used_ips)
-        geo.add_ip(ip, country, asn)
-        cloud = _sample_cloud(rng)
-        if cloud is not None:
-            clouds.add_ip(ip, cloud)
-        return ip, asn
-
-    sample_country = _country_sampler(rng)
-
-    # The ten mega IPs (Fig 7c), in fixed countries roughly matching
-    # the peer-country distribution so they do not skew Fig 5.
-    mega_by_country: dict[str, list[tuple[str, int, float]]] = {}
-    for position, country in enumerate(_MEGA_IP_COUNTRIES):
-        ip, asn = new_ip(country)
-        mega_by_country.setdefault(country, []).append(
-            (ip, asn, 1.0 / (position + 1))
-        )
-
-    shared_pool: dict[str, list[tuple[str, int]]] = {}
-    agent_names = [name for name, _ in _AGENT_VERSIONS]
-    agent_weights = [weight for _, weight in _AGENT_VERSIONS]
-
-    peers: list[PeerSpec] = []
-    for index in range(config.n_peers):
-        peer_id = PeerId.from_public_key(b"population-peer-%d" % index)
-        country = sample_country()
-        megas = mega_by_country.get(country)
-        if megas is not None and rng.random() < _mega_probability(country):
-            ips_list, asns, countries = _place_on_mega(rng, megas, country)
-        else:
-            ips_list, asns, countries = _give_addresses(
-                rng, country, new_ip, sample_country, shared_pool
-            )
-        cloud_provider = clouds.provider(ips_list[0])
-        reachability = _sample_reachability(rng, config, cloud_provider)
-        peer_class = _sample_class(rng, config, cloud_provider)
-        peers.append(
-            PeerSpec(
-                index=index,
-                peer_id=peer_id,
-                ips=tuple(ips_list),
-                country=country,
-                countries=tuple(countries),
-                asn=asns[0],
-                region=COUNTRY_REGION.get(country, Region.EU),
-                cloud_provider=cloud_provider,
-                reachability=reachability,
-                peer_class=peer_class,
-                churn_model=_churn_model_for(country),
-                agent_version=rng.choices(agent_names, agent_weights)[0],
-            )
-        )
-    return Population(peers, geo, clouds, config)
-
-
-def _mega_probability(country: str) -> float:
-    """P(live on a mega IP | country has one), tuned so the global
-    mega-hosted fraction lands near :data:`MEGA_PEER_FRACTION`.
-
-    Countries with mega IPs cover ~85 % of peers, so 0.33/0.85 ≈ 0.39.
-    """
-    return MEGA_PEER_FRACTION / 0.85
-
-
-def _place_on_mega(rng, megas, country):
-    ips_weights = [weight for _, _, weight in megas]
-    ip, asn, _ = rng.choices(megas, ips_weights)[0]
-    return [ip], [asn], [country]
-
-
-def _give_addresses(rng, country, new_ip, sample_country, shared_pool):
-    """Regular peers: 1..N addresses, mostly within their country.
+def _give_addresses(
+    rng, country, country_code, new_ip, sample_country, shared_pool,
+    intern, push_slot,
+) -> None:
+    """Regular peers: 1..N address slots, mostly within their country.
 
     The per-country multiplier (see :data:`IP_MULTIPLIER`) gives
     address-rotating ISPs (HKT, Brazilian and Chinese carriers) more
@@ -398,14 +633,14 @@ def _give_addresses(rng, country, new_ip, sample_country, shared_pool):
     extra = min(9, round(base * multiplier + (multiplier - 1.0)))
     pool = shared_pool.setdefault(country, [])
     if pool and rng.random() < 0.08:
-        ip, asn = rng.choice(pool)
+        packed, asn, cloud = rng.choice(pool)
     else:
-        ip, asn = new_ip(country)
+        packed, asn, cloud, _code = new_ip(country)
         if rng.random() < 0.05:
-            pool.append((ip, asn))
+            pool.append((packed, asn, cloud))
             if len(pool) > 40:
                 pool.pop(0)
-    ips_list, asns, countries = [ip], [asn], [country]
+    push_slot(packed, asn, cloud, country_code)
     # Target ~8.8 % multihomed peers overall; only regular peers (about
     # two thirds of the population) can be, hence the 0.13 local rate.
     multihomed = rng.random() < 0.13
@@ -416,11 +651,40 @@ def _give_addresses(rng, country, new_ip, sample_country, shared_pool):
                 other_country = sample_country()
                 if other_country != country:
                     break
-        ip, asn = new_ip(other_country)
-        ips_list.append(ip)
-        asns.append(asn)
-        countries.append(other_country)
-    return ips_list, asns, countries
+        packed, asn, cloud, other_code = new_ip(other_country)
+        push_slot(packed, asn, cloud, other_code)
+
+
+def _synth_ip(rng: random.Random, used: set[int]) -> int:
+    """A fresh random packed IPv4 address (redrawn on collision)."""
+    while True:
+        packed = (
+            (((rng.randrange(1, 224) << 8) | rng.randrange(256)) << 16)
+            | (rng.randrange(256) << 8) | rng.randrange(1, 255)
+        )
+        if packed not in used:
+            used.add(packed)
+            return packed
+
+
+def _sample_cloud(rng: random.Random) -> int:
+    """Index into :data:`CLOUD_SHARES` of an address's cloud, or -1."""
+    roll = rng.random()
+    cumulative = 0.0
+    for code, (_name, share) in enumerate(CLOUD_SHARES):
+        cumulative += share
+        if roll < cumulative:
+            return code
+    return -1
+
+
+def _mega_probability(country: str) -> float:
+    """P(live on a mega IP | country has one), tuned so the global
+    mega-hosted fraction lands near :data:`MEGA_PEER_FRACTION`.
+
+    Countries with mega IPs cover ~85 % of peers, so 0.33/0.85 ≈ 0.39.
+    """
+    return MEGA_PEER_FRACTION / 0.85
 
 
 def _sample_extra_ip_count(rng: random.Random) -> int:
@@ -434,16 +698,6 @@ def _sample_extra_ip_count(rng: random.Random) -> int:
     if roll < 0.85:
         return 2
     return 3
-
-
-def _sample_cloud(rng: random.Random) -> str | None:
-    roll = rng.random()
-    cumulative = 0.0
-    for name, share in CLOUD_SHARES:
-        cumulative += share
-        if roll < cumulative:
-            return name
-    return None
 
 
 def _sample_reachability(

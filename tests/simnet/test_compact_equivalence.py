@@ -1,4 +1,4 @@
-"""The differential harness: compact worlds == legacy worlds.
+"""The differential harness: compact worlds == object worlds.
 
 ``build_compact_world`` promises to build *the same world*
 ``build_scenario`` builds — same routing tables, same address books,
@@ -6,6 +6,9 @@ same churn schedules, same protocol behavior — while holding peers as
 array rows until protocol code touches them, for any worker count.
 This suite is the proof:
 
+- routing tables, pinned: both builders run the one table fill, so
+  each world's per-node table layout is checked against a sha256
+  computed from the earlier, separate per-builder fills;
 - structural equality, unmaterialized: bootstrap set, online flags,
   and per-peer routing-table membership straight from the flat arrays;
 - structural equality, materialized: force every peer into existence
@@ -14,7 +17,7 @@ This suite is the proof:
 - behavioral equality: run churn on both kernels and compare the full
   ``(time, peer, online)`` transition logs;
 - protocol byte-identity: drive the actual crawler + prober campaign
-  over legacy and compact worlds and compare exported trace digests
+  over object and compact worlds and compare exported trace digests
   against a pinned golden hash — one constant guards both the compact
   path and the sharded merge for every worker count.
 
@@ -35,26 +38,63 @@ from repro.obs import Observability
 from repro.simnet.compact import build_compact_world
 from repro.tools.export import export_trace
 from repro.utils.rng import derive_rng
-from repro.workloads.compact import generate_compact_population
-from repro.workloads.population import PopulationConfig, generate_population
+from repro.workloads.population import (
+    PopulationConfig,
+    generate_compact_population,
+    generate_population,
+)
 
 N_PEERS = 300
 SEED = 42
 WORKER_COUNTS = (1, 2, 4)
 
 #: sha256 of the exported event trace of a 1 h crawl+probe campaign
-#: over the 300-peer seed-42 world. The legacy scenario and the compact
+#: over the 300-peer seed-42 world. The object scenario and the compact
 #: world must both produce exactly this file, for every worker count.
 GOLDEN_CRAWL_TRACE_SHA256 = (
     "934037dc54cd32f2de0d9d3dddeae0ebb821c364f20ffb1d7f2bfb4da1c25a4e"
 )
 
 
+#: The harness's scenario variants.
+CONFIGS = {
+    "default": ScenarioConfig(seed=SEED),
+    "no-churn": ScenarioConfig(seed=SEED, with_churn=False),
+    "no-nat-servers": ScenarioConfig(seed=SEED, nat_peers_in_dht=False),
+}
+
+#: sha256 of every node's routing-table layout (bucket sizes, then
+#: entries in bucket/insertion order, node by node) in the 300-peer
+#: seed-42 world, per variant.
+TABLE_LAYOUT_SHA256 = {
+    "default": (
+        "3f4aa6df41de6fdfc92288d6190ed9c604ea80d6fc80d39d8e41dad0db96bfdc"
+    ),
+    "no-churn": (
+        "328ad2821875e90a1a9282d7bba289f46f3fd8f9a10bebb148a9b4550e3127a8"
+    ),
+    "no-nat-servers": (
+        "3f0b939400aabd9cea4ff7c4504593ce39e720166f8985da3f034da64b9febec"
+    ),
+}
+
+
 def _populations(n_peers: int = N_PEERS, seed: int = SEED):
     config = PopulationConfig(n_peers=n_peers)
-    legacy = generate_population(config, derive_rng(seed, "population"))
+    objects = generate_population(config, derive_rng(seed, "population"))
     compact = generate_compact_population(config, derive_rng(seed, "population"))
-    return legacy, compact
+    return objects, compact
+
+
+def table_layout_sha256(nodes) -> str:
+    digest = hashlib.sha256()
+    for node in nodes:
+        table = node.routing_table
+        digest.update(("%s|%r|%s\n" % (
+            node.host.peer_id, sorted(table.bucket_sizes().items()),
+            ",".join(map(str, table.peers())),
+        )).encode())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -63,19 +103,13 @@ def populations():
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize(
-    "config",
-    [
-        ScenarioConfig(seed=SEED),
-        ScenarioConfig(seed=SEED, with_churn=False),
-        ScenarioConfig(seed=SEED, nat_peers_in_dht=False),
-    ],
-    ids=["default", "no-churn", "no-nat-servers"],
-)
-def test_structural_equality(populations, config, workers):
-    legacy_pop, compact_pop = populations
-    scenario = build_scenario(legacy_pop, config)
+@pytest.mark.parametrize("variant", list(CONFIGS))
+def test_structural_equality(populations, variant, workers):
+    object_pop, compact_pop = populations
+    config = CONFIGS[variant]
+    scenario = build_scenario(object_pop, config)
     world = build_compact_world(compact_pop, config, workers=workers)
+    assert table_layout_sha256(scenario.backdrop) == TABLE_LAYOUT_SHA256[variant]
 
     assert world.bootstrap_ids == scenario.bootstrap_ids
     assert world.materialized == 0, "building must not materialize anyone"
@@ -90,6 +124,9 @@ def test_structural_equality(populations, config, workers):
 
     # Materialized: identical object graphs, bucket layouts included.
     world.materialize_all()
+    assert table_layout_sha256(
+        world.node_at(i) for i in range(len(world))
+    ) == TABLE_LAYOUT_SHA256[variant]
     for node in scenario.backdrop:
         i = world.index_of(node.host.peer_id)
         mat = world.node_at(i)
@@ -98,12 +135,12 @@ def test_structural_equality(populations, config, workers):
             mat.routing_table.bucket_sizes()
             == node.routing_table.bucket_sizes()
         )
-        host, legacy_host = mat.host, node.host
-        assert host.peer_id == legacy_host.peer_id
-        assert host.online == legacy_host.online
-        assert host.transports == legacy_host.transports
-        assert host.nat_private == legacy_host.nat_private
-        assert host.agent_version == legacy_host.agent_version
+        host, object_host = mat.host, node.host
+        assert host.peer_id == object_host.peer_id
+        assert host.online == object_host.online
+        assert host.transports == object_host.transports
+        assert host.nat_private == object_host.nat_private
+        assert host.agent_version == object_host.agent_version
         assert mat.server == node.server
 
 
@@ -111,9 +148,9 @@ def test_structural_equality(populations, config, workers):
 def test_churn_transition_logs_identical(populations, workers):
     """Run six simulated hours of churn on both kernels and compare
     every (time, peer, online) transition."""
-    legacy_pop, compact_pop = populations
+    object_pop, compact_pop = populations
     config = ScenarioConfig(seed=SEED)
-    scenario = build_scenario(legacy_pop, config)
+    scenario = build_scenario(object_pop, config)
     world = build_compact_world(compact_pop, config, workers=workers)
     world.materialize_all()
 
@@ -148,27 +185,27 @@ def _campaign_digest(world) -> tuple[str, object]:
 
 
 def test_protocol_run_byte_identical(populations):
-    """The pinned golden trace: legacy and compact (all worker counts)
+    """The pinned golden trace: object and compact (all worker counts)
     run the crawler campaign to the byte-identical event trace."""
-    legacy_pop, compact_pop = populations
+    object_pop, compact_pop = populations
     digests = {}
-    scenario = build_scenario(legacy_pop, ScenarioConfig(seed=SEED))
-    digests["legacy"], legacy_results = _campaign_digest(scenario)
+    scenario = build_scenario(object_pop, ScenarioConfig(seed=SEED))
+    digests["objects"], object_results = _campaign_digest(scenario)
     for workers in WORKER_COUNTS:
         world = build_compact_world(
             compact_pop, ScenarioConfig(seed=SEED), workers=workers
         )
         digests[f"compact-w{workers}"], results = _campaign_digest(world)
-        assert results.timeseries() == legacy_results.timeseries()
-        assert results.sessions == legacy_results.sessions
-        assert results.uptime_by_peer == legacy_results.uptime_by_peer
+        assert results.timeseries() == object_results.timeseries()
+        assert results.sessions == object_results.sessions
+        assert results.uptime_by_peer == object_results.uptime_by_peer
     assert digests == {
         name: GOLDEN_CRAWL_TRACE_SHA256 for name in digests
     }, f"trace digests diverged: {digests}"
 
 
 if __name__ == "__main__":
-    legacy_pop, _ = _populations()
-    scenario = build_scenario(legacy_pop, ScenarioConfig(seed=SEED))
+    object_pop, _ = _populations()
+    scenario = build_scenario(object_pop, ScenarioConfig(seed=SEED))
     digest, _ = _campaign_digest(scenario)
     print(f"GOLDEN_CRAWL_TRACE_SHA256 = \"{digest}\"")
