@@ -17,7 +17,7 @@ The bucket-fill trick: peers whose key shares exactly ``i`` leading
 bits with ours occupy one contiguous interval of the sorted key space,
 so each bucket is a binary search plus a bounded sample. The fill
 itself is :func:`fill_table_positions`, over key ints and positions
-only: :func:`populate_routing_tables` adds its result to live
+only: :func:`populate_routing_tables` loads its result into live
 ``RoutingTable`` objects, and :class:`~repro.simnet.compact.CompactWorld`
 keeps it as flat arrays until a peer is materialized.
 """
@@ -67,17 +67,19 @@ def populate_routing_tables(
         key=lambda node: node.host.peer_id.dht_key_int(),
     )
     ids = [node.host.peer_id for node in servers]
+    keys = [peer_id.dht_key_int() for peer_id in ids]
     entries, offsets = fill_table_positions(
-        [peer_id.dht_key_int() for peer_id in ids],
+        keys,
         [node.host.reachable for node in servers],
         [node.host.peer_id.dht_key_int() for node in nodes],
         rng,
         stale_fraction,
     )
     for index, node in enumerate(nodes):
-        add = node.routing_table.add
-        for pos in entries[offsets[index]:offsets[index + 1]]:
-            add(ids[pos])
+        chosen = entries[offsets[index]:offsets[index + 1]]
+        node.routing_table.load(
+            [ids[pos] for pos in chosen], [keys[pos] for pos in chosen]
+        )
 
 
 class _SliceView(Sequence):

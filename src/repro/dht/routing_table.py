@@ -13,7 +13,7 @@ performance boost.
 
 from __future__ import annotations
 
-import heapq
+from collections.abc import Iterable, Sequence
 
 from repro.dht.keyspace import KEY_BITS, key_int_for_peer, key_for_peer
 from repro.multiformats.peerid import PeerId
@@ -53,10 +53,6 @@ class RoutingTable:
         self._buckets: dict[int, dict[PeerId, int]] = {}
         self._size = 0
         self._failures: dict[PeerId, int] = {}
-        #: flat ``(key_int, peer_id)`` snapshot of every entry, rebuilt
-        #: lazily after membership changes; :meth:`closest` scans this
-        #: single list instead of 256 bucket dicts.
-        self._flat: list[tuple[int, PeerId]] | None = None
         #: peers evicted by the failure score (degradation telemetry)
         self.evictions = 0
         #: optional circuit-breaker registry (anything with
@@ -79,9 +75,8 @@ class RoutingTable:
         # Inline common_prefix_length on the cached integer keys: the
         # XOR plus bit_length is the whole computation, with no byte
         # conversions or hashing (both are cached on the PeerId).
+        # (A zero distance has bit_length 0 and lands in the last bucket.)
         distance = self.own_key_int ^ key_int_for_peer(peer_id)
-        if distance == 0:
-            return KEY_BITS - 1
         return min(KEY_BITS - distance.bit_length(), KEY_BITS - 1)
 
     def add(self, peer_id: PeerId) -> bool:
@@ -93,10 +88,7 @@ class RoutingTable:
             return False
         key_int = key_int_for_peer(peer_id)
         distance = self.own_key_int ^ key_int
-        index = (
-            KEY_BITS - 1 if distance == 0
-            else min(KEY_BITS - distance.bit_length(), KEY_BITS - 1)
-        )
+        index = min(KEY_BITS - distance.bit_length(), KEY_BITS - 1)
         bucket = self._buckets.get(index)
         if bucket is None:
             bucket = self._buckets[index] = {}
@@ -108,8 +100,43 @@ class RoutingTable:
             return False
         bucket[peer_id] = key_int
         self._size += 1
-        self._flat = None
         return True
+
+    def load(self, peer_ids: Sequence[PeerId], key_ints: Sequence[int]) -> None:
+        """Fill an empty table: the layout ``add`` of each entry in
+        turn would build, without its per-entry refresh checks.
+
+        ``key_ints[i]`` is ``peer_ids[i]``'s DHT key int. Entries go to
+        their buckets in the given order, which becomes the LRU order.
+        Raises ``ValueError`` (leaving the table empty) if the table is
+        not empty, or if an entry is our own key, is repeated, or would
+        overflow its bucket — cases where ``add`` would have skipped
+        the entry instead, so the two can never silently diverge.
+        """
+        if self._size:
+            raise ValueError(f"load needs an empty table, this one has {self._size} peers")
+        buckets = self._buckets
+        own = self.own_key_int
+        cap = self.bucket_size
+        try:
+            for peer_id, key_int in zip(peer_ids, key_ints, strict=True):
+                distance = own ^ key_int
+                if distance == 0:
+                    raise ValueError(f"cannot load our own key ({peer_id})")
+                index = min(KEY_BITS - distance.bit_length(), KEY_BITS - 1)
+                bucket = buckets.get(index)
+                if bucket is None:
+                    bucket = buckets[index] = {}
+                size = len(bucket)
+                if size >= cap:
+                    raise ValueError(f"bucket {index} would exceed {cap} entries")
+                bucket[peer_id] = key_int
+                if len(bucket) == size:
+                    raise ValueError(f"peer {peer_id} is loaded twice")
+        except ValueError:
+            buckets.clear()
+            raise
+        self._size = sum(map(len, buckets.values()))
 
     def remove(self, peer_id: PeerId) -> None:
         """Evict a peer (e.g. after a failed dial)."""
@@ -118,7 +145,6 @@ class RoutingTable:
         if peer_id in bucket:
             del bucket[peer_id]
             self._size -= 1
-            self._flat = None
 
     # -- failure scoring ---------------------------------------------------
 
@@ -145,47 +171,44 @@ class RoutingTable:
         """Current consecutive-failure count for ``peer_id``."""
         return self._failures.get(peer_id, 0)
 
-    def _flat_entries(self) -> list[tuple[int, PeerId]]:
-        flat = self._flat
-        if flat is None:
-            # Sorted bucket indexes keep the flat order identical to
-            # the dense-list era (ascending bucket, insertion order
-            # within) regardless of which bucket was touched first.
-            flat = [
-                (key_int, peer_id)
-                for index in sorted(self._buckets)
-                for peer_id, key_int in self._buckets[index].items()
-            ]
-            self._flat = flat
-        return flat
-
     def closest(self, target_key: bytes, count: int = K_BUCKET_SIZE) -> list[PeerId]:
         """The ``count`` known peers closest to ``target_key`` by XOR.
 
-        Routing tables hold O(k log n) entries, so an exact scan plus
-        partial sort is both correct and cheap. The scan runs over a
-        flat cached ``(key_int, peer_id)`` list in a single C-speed
-        comprehension — this is the hottest routing-table path (every
-        FIND_NODE handler calls it), and the distance/peer pairs form a
-        total order, so the selection is independent of scan order.
+        This is the hottest routing-table path (every FIND_NODE handler
+        calls it), so it sorts only the buckets it needs. If the target
+        falls in our bucket ``b``, the XOR order of buckets is fixed:
+        bucket ``b`` is nearest, then every deeper bucket (pooled: they
+        all differ from the target first at bit ``b``), then buckets
+        ``b - 1``, ``b - 2``, ..., 0, each farther than the last. Taking
+        whole groups in that order until ``count`` peers are in hand,
+        then sorting ``(distance, peer)`` over them, gives exactly a
+        full sort's prefix.
         """
+        if count <= 0:
+            return []
         target = int.from_bytes(target_key, "big")
-        if self.breakers is not None:
-            is_open = self.breakers.is_open
-            pairs = [
-                (key_int ^ target, peer_id)
-                for key_int, peer_id in self._flat_entries()
-                if not is_open(peer_id)
-            ]
+        buckets = self._buckets
+        is_open = None if self.breakers is None else self.breakers.is_open
+        if count >= self._size:
+            # Every entry is wanted (small worlds): skip the walk.
+            pairs = _pairs(target, is_open, buckets.values())
         else:
-            pairs = [
-                (key_int ^ target, peer_id)
-                for key_int, peer_id in self._flat_entries()
-            ]
-        if count >= len(pairs):
-            pairs.sort()
-            return [peer_id for _, peer_id in pairs]
-        return [peer_id for _, peer_id in heapq.nsmallest(count, pairs)]
+            distance = self.own_key_int ^ target
+            home = min(KEY_BITS - distance.bit_length(), KEY_BITS - 1)
+            bucket = buckets.get(home)
+            pairs = _pairs(target, is_open, (bucket,)) if bucket else []
+            if len(pairs) < count:
+                pairs += _pairs(
+                    target, is_open,
+                    [bucket for index, bucket in buckets.items() if index > home],
+                )
+                if len(pairs) < count:
+                    for index in sorted((i for i in buckets if i < home), reverse=True):
+                        pairs += _pairs(target, is_open, (buckets[index],))
+                        if len(pairs) >= count:
+                            break
+        pairs.sort()
+        return [peer_id for _, peer_id in pairs[:count]]
 
     def peers(self) -> list[PeerId]:
         """All table entries (used by the crawler's bucket dumps)."""
@@ -201,3 +224,21 @@ class RoutingTable:
             for index in sorted(self._buckets)
             if self._buckets[index]
         }
+
+
+def _pairs(
+    target: int, is_open, group: Iterable[dict[PeerId, int]]
+) -> list[tuple[int, PeerId]]:
+    """``(distance to target, peer)`` for the group's peers whose
+    breaker (if any) is closed."""
+    if is_open is None:
+        return [
+            (key_int ^ target, peer_id)
+            for bucket in group for peer_id, key_int in bucket.items()
+        ]
+    return [
+        (key_int ^ target, peer_id)
+        for bucket in group for peer_id, key_int in bucket.items()
+        if not is_open(peer_id)
+    ]
+

@@ -15,7 +15,7 @@ This module builds the *same world* from columnar state:
 - routing tables are flat position arrays into the sorted server
   order, filled by :func:`~repro.dht.bootstrap.fill_table_positions`
   — the one fill :func:`~repro.dht.bootstrap.populate_routing_tables`
-  also runs — and added to a peer's ``RoutingTable`` only when it is
+  also runs — and loaded into a peer's ``RoutingTable`` only when it is
   materialized;
 - churn schedules are precomputed per peer into one flat delay array
   (the per-peer streams of :class:`~repro.simnet.churn.SessionProcess`,
@@ -261,16 +261,14 @@ class CompactWorld:
             server=self.nat_peers_in_dht or reach != REACH_NEVER,
         )
         engine = BitswapEngine(self.sim, self.net, host, MemoryBlockstore())
-        # Add the precomputed fill: same entries in the same insertion
-        # order populate_routing_tables adds, so LRU order matches too.
-        # No add can be rejected (the fill gives each bucket at most
-        # K_BUCKET_SIZE entries).
-        add = node.routing_table.add
-        order = self._server_order
-        pid_at = compact.peer_id_at
-        entries = self._table_entries
-        for pos in entries[self._table_off[index]:self._table_off[index + 1]]:
-            add(pid_at(order[pos]))
+        # Load the precomputed fill: the same entries in the same order
+        # populate_routing_tables loads, so buckets and LRU order match
+        # too. Key ints come from the peer ids (cached there), since
+        # _key_ints is dropped after the fill.
+        peer_ids = self.table_peer_ids(index)
+        node.routing_table.load(
+            peer_ids, [peer_id.dht_key_int() for peer_id in peer_ids]
+        )
         self._hosts[index] = host
         self.nodes[peer_id] = node
         self.engines[peer_id] = engine

@@ -1,9 +1,13 @@
 """Tests for the k-bucket routing table."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.keyspace import key_for_peer, xor_distance
+from repro.dht.bootstrap import fill_table_positions
+from repro.dht.keyspace import bucket_index, key_for_peer, xor_distance
 from repro.dht.routing_table import K_BUCKET_SIZE, RoutingTable
 from repro.multiformats.peerid import PeerId
 
@@ -58,8 +62,6 @@ def test_full_bucket_rejects_newcomer():
     table = RoutingTable(pid(0), bucket_size=2)
     # Find three peers that land in the same bucket.
     own_key = key_for_peer(pid(0))
-    from repro.dht.keyspace import bucket_index
-
     by_bucket: dict[int, list[PeerId]] = {}
     for n in range(1, 500):
         bucket = bucket_index(own_key, key_for_peer(pid(n)))
@@ -99,11 +101,13 @@ def test_closest_on_empty_table():
 
 
 def test_peers_lists_everything():
-    table = RoutingTable(pid(0))
-    for n in range(1, 30):
-        table.add(pid(n))
-    assert set(table.peers()) == {pid(n) for n in range(1, 30)} & set(table.peers())
-    assert len(table.peers()) == len(table)
+    # Small buckets, so some adds are rejected: peers() must list
+    # exactly the accepted ones, each once.
+    table = RoutingTable(pid(0), bucket_size=2)
+    added = [pid(n) for n in range(1, 60) if table.add(pid(n))]
+    assert 0 < len(added) < 59
+    assert sorted(table.peers()) == sorted(added)
+    assert len(table) == len(added)
 
 
 def test_default_threshold_evicts_on_first_failure():
@@ -161,3 +165,95 @@ def test_closest_is_exact_property(ns):
     got = table.closest(target, 5)
     expected = sorted(table.peers(), key=lambda p: xor_distance(key_for_peer(p), target))[:5]
     assert got == expected
+
+
+# -- bulk load -------------------------------------------------------------
+
+
+def layout(table: RoutingTable) -> list:
+    """Bucket order, entries and LRU order, key ints included."""
+    return [(index, list(bucket.items())) for index, bucket in table._buckets.items()]
+
+
+def test_load_matches_sequential_add_on_a_fill():
+    # 400 peers, every fourth a client (in no table) and every seventh
+    # server unreachable, so the fill samples live and stale entries.
+    everyone = [pid(n) for n in range(400)]
+    servers = sorted(
+        (p for n, p in enumerate(everyone) if n % 4), key=PeerId.dht_key_int
+    )
+    keys = [p.dht_key_int() for p in servers]
+    entries, offsets = fill_table_positions(
+        keys,
+        [pos % 7 != 0 for pos in range(len(servers))],
+        [p.dht_key_int() for p in everyone],
+        random.Random(5),
+    )
+    biggest = 0
+    for index, own in enumerate(everyone):
+        chosen = entries[offsets[index]:offsets[index + 1]]
+        added = RoutingTable(own)
+        for pos in chosen:
+            assert added.add(servers[pos])
+        loaded = RoutingTable(own)
+        loaded.load([servers[pos] for pos in chosen], [keys[pos] for pos in chosen])
+        assert layout(loaded) == layout(added)
+        assert loaded.peers() == added.peers()
+        assert len(loaded) == len(added) == len(chosen)
+        biggest = max(biggest, len(loaded))
+    assert biggest > K_BUCKET_SIZE  # tables span several full buckets
+
+
+def load_args(peers):
+    return list(peers), [p.dht_key_int() for p in peers]
+
+
+def test_load_rejects_a_non_empty_table():
+    table = RoutingTable(pid(0))
+    table.add(pid(1))
+    with pytest.raises(ValueError, match="empty"):
+        table.load(*load_args([pid(2)]))
+    assert table.peers() == [pid(1)]
+
+
+def test_load_into_an_emptied_table():
+    table = RoutingTable(pid(0))
+    table.add(pid(1))
+    table.remove(pid(1))
+    table.load(*load_args([pid(2), pid(1)]))
+    assert sorted(table.peers()) == sorted([pid(1), pid(2)])
+    assert len(table) == 2
+
+
+def test_load_rejects_our_own_key():
+    table = RoutingTable(pid(0))
+    with pytest.raises(ValueError, match="own key"):
+        table.load(*load_args([pid(1), pid(0)]))
+    assert len(table) == 0 and table.peers() == []
+
+
+def test_load_rejects_a_duplicate():
+    table = RoutingTable(pid(0))
+    with pytest.raises(ValueError, match="twice"):
+        table.load(*load_args([pid(1), pid(2), pid(1)]))
+    assert len(table) == 0 and table.peers() == []
+
+
+def test_load_rejects_a_bucket_overflow():
+    own_key = key_for_peer(pid(0))
+    same_bucket = [
+        p for p in map(pid, range(1, 200))
+        if bucket_index(own_key, key_for_peer(p)) == 0
+    ][:3]
+    table = RoutingTable(pid(0), bucket_size=2)
+    table.load(*load_args(same_bucket[:2]))
+    assert len(table) == 2
+    table = RoutingTable(pid(0), bucket_size=2)
+    with pytest.raises(ValueError, match="exceed"):
+        table.load(*load_args(same_bucket))
+    assert len(table) == 0 and table.peers() == []
+
+
+def test_load_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        RoutingTable(pid(0)).load([pid(1), pid(2)], [pid(1).dht_key_int()])

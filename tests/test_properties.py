@@ -90,24 +90,66 @@ def test_provider_store_never_serves_expired(ops):
             assert now - record.published_at < 1000.0
 
 
-@settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
+class _OpenBreakers:
+    """Breaker-registry stub: the breakers of ``open_peers`` are open."""
+
+    def __init__(self, open_peers) -> None:
+        self.open_peers = open_peers
+
+    def is_open(self, peer_id) -> bool:
+        return peer_id in self.open_peers
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    keys=st.lists(st.binary(min_size=1, max_size=8), min_size=2, max_size=30,
-                  unique=True)
+    n_peers=st.integers(min_value=2, max_value=200),
+    salt=st.integers(min_value=0, max_value=2**32),
+    target_kind=st.sampled_from(["random", "own", "member", "bucket"]),
+    # Small counts stop the walk inside the first groups, where a
+    # wrongly ordered bucket would show.
+    count=st.integers(min_value=0, max_value=60) | st.integers(min_value=1, max_value=4),
+    data=st.data(),
 )
-def test_closest_is_globally_consistent(keys):
-    """Routing-table closest() agrees with brute force for any set."""
+def test_closest_is_globally_consistent(n_peers, salt, target_kind, count, data):
+    """Routing-table closest() agrees with brute force for any set, any
+    target (random, our own key, a member's key, or a key in a chosen
+    bucket of ours), any count and any set of open breakers."""
     from repro.dht.routing_table import RoutingTable
 
-    peers = [PeerId.from_public_key(k) for k in keys]
+    peers = [PeerId.from_public_key(b"%d-%d" % (salt, i)) for i in range(n_peers)]
     table = RoutingTable(peers[0], bucket_size=50)
     for peer in peers[1:]:
         table.add(peer)
-    target = key_for_peer(PeerId.from_public_key(b"target"))
-    got = table.closest(target, 5)
+    if target_kind == "random":
+        target = data.draw(st.binary(min_size=32, max_size=32), label="target")
+    elif target_kind == "own":
+        target = key_for_peer(peers[0])
+    elif target_kind == "bucket":
+        # Our key with bit b flipped: a target in our bucket b exactly.
+        b = data.draw(st.integers(min_value=0, max_value=7), label="bucket")
+        own = int.from_bytes(key_for_peer(peers[0]), "big")
+        target = (own ^ (1 << (255 - b))).to_bytes(32, "big")
+    else:
+        # Half the draws take one of the three members nearest us: their
+        # keys sit in our deepest buckets, which few members reach.
+        members = sorted(
+            peers[1:],
+            key=lambda p: xor_distance(key_for_peer(p), key_for_peer(peers[0])),
+        )
+        member = data.draw(
+            st.sampled_from(members[:3]) | st.sampled_from(members), label="member"
+        )
+        target = key_for_peer(member)
+    open_peers = data.draw(
+        st.none() | st.frozensets(st.sampled_from(peers[1:])), label="open"
+    )
+    if open_peers is not None:
+        table.breakers = _OpenBreakers(open_peers)
+    got = table.closest(target, count)
     brute = sorted(
-        table.peers(), key=lambda p: xor_distance(key_for_peer(p), target)
-    )[:5]
+        (p for p in table.peers() if not open_peers or p not in open_peers),
+        key=lambda p: xor_distance(key_for_peer(p), target),
+    )[:count]
     assert got == brute
 
 
