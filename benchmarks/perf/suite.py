@@ -27,9 +27,13 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 
+from repro.crawler.crawl import Crawler
 from repro.experiments.perf import PerfConfig, run_perf_experiment
 from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.multiformats.peerid import PeerId
 from repro.simnet.compact import build_compact_world
+from repro.simnet.latency import PeerClass, Region
+from repro.simnet.network import SimHost
 from repro.simnet.sim import Future, Simulator
 from repro.utils.rng import derive_rng
 from repro.workloads.population import (
@@ -277,6 +281,42 @@ def bench_macro_perf_experiment(
     )
 
 
+def bench_crawl_campaign(n_peers: int = 1000, bucket_queries: int = 8) -> BenchResult:
+    """One crawl visit, in bulk: a single full crawl of a compact world
+    (churn off), timed from the first dial to the last bucket dump. The
+    world build is not timed; peers materialize as the crawl reaches
+    them, which is part of the cost of a visit."""
+    seed = 42
+    compact = generate_compact_population(
+        PopulationConfig(n_peers=n_peers), derive_rng(seed, "bench-kernel-pop")
+    )
+    world = build_compact_world(compact, ScenarioConfig(seed=seed, with_churn=False))
+    host = SimHost(
+        PeerId.from_public_key(b"bench-crawler"),
+        region=Region.EU,
+        peer_class=PeerClass.DATACENTER,
+    )
+    world.net.register(host)
+    crawler = Crawler(
+        world.sim, world.net, host, derive_rng(seed, "crawler"),
+        bucket_queries=bucket_queries,
+    )
+
+    def proc():
+        return (yield from crawler.crawl(world.bootstrap_ids))
+
+    t0 = time.perf_counter()
+    result = world.sim.run_process(proc())
+    wall = time.perf_counter() - t0
+    visits = len(result.peers_seen)
+    return BenchResult(
+        "crawl_campaign", visits / wall, "visits/s", wall,
+        {"n_peers": n_peers, "bucket_queries": bucket_queries,
+         "visits": visits, "rpcs": result.rpcs_sent,
+         "events": world.sim.events_processed},
+    )
+
+
 def bench_scale_smoke(n_peers: int = 50_000, sim_hours: float = 1.0) -> BenchResult:
     """The nightly 50k-peer smoke: build the full-size world and run an
     hour of churn. Guards the path to paper-scale (~200k) populations."""
@@ -326,6 +366,7 @@ FULL_BENCHES = (
     lambda: bench_world_build(10_000),
     bench_churn_events,
     bench_macro_perf_experiment,
+    bench_crawl_campaign,
     lambda: bench_world_memory(10_000),
     lambda: bench_world_memory(100_000),
 )

@@ -14,12 +14,13 @@ from __future__ import annotations
 import random
 from collections.abc import Generator
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.dht import rpc
 from repro.dht.keyspace import KEY_BITS, key_for_peer
 from repro.multiformats.peerid import PeerId
 from repro.simnet.network import SimHost, SimNetwork
-from repro.simnet.sim import Future, Simulator, any_of, with_timeout
+from repro.simnet.sim import Future, Simulator, all_of, with_timeout
 
 
 @dataclass
@@ -90,30 +91,47 @@ class Crawler:
         self.concurrency = concurrency
 
     def crawl(self, bootstrap: list[PeerId]) -> Generator:
-        """One full sweep; returns a :class:`CrawlResult`."""
+        """One full sweep; returns a :class:`CrawlResult`.
+
+        Each visit carries one completion callback, which records the
+        visit and wakes the crawl if it is suspended, so the kernel work
+        per visit stays constant whatever the concurrency. Completions
+        are handled in batches, in spawn order.
+        """
         result = CrawlResult(started_at=self.sim.now)
         frontier: list[PeerId] = list(dict.fromkeys(bootstrap))
         queued: set[PeerId] = set(frontier)
-        inflight: dict[int, tuple[PeerId, Future]] = {}
+        done: list[tuple[int, Future]] = []
+        wake: Future | None = None
+
+        def finished(tag: int, future: Future) -> None:
+            nonlocal wake
+            done.append((tag, future))
+            if wake is not None:
+                waiting, wake = wake, None
+                waiting.resolve()
+
+        inflight = 0
         tag = 0
         while frontier or inflight:
-            while frontier and len(inflight) < self.concurrency:
+            while frontier and inflight < self.concurrency:
                 peer_id = frontier.pop()
                 process = self.sim.spawn(self._visit(peer_id, result))
-                outcome: Future = Future()
-                process.future.add_callback(lambda f, o=outcome: o.resolve(f))
-                inflight[tag] = (peer_id, outcome)
+                process.future.add_callback(partial(finished, tag))
+                inflight += 1
                 tag += 1
-            _, settled = yield any_of([f for _, f in inflight.values()])
-            finished = [t for t, (_, f) in inflight.items() if f.done]
-            for t in finished:
-                peer_id, future = inflight.pop(t)
-                inner = future.result()
-                discovered = [] if inner.failed else inner.result()
+            if not done:
+                wake = Future()
+                yield wake
+            done.sort()  # spawn order; tags are unique, futures never compared
+            inflight -= len(done)
+            for _, future in done:
+                discovered = [] if future.failed else future.result()
                 for found in discovered:
                     if found not in queued and found != self.host.peer_id:
                         queued.add(found)
                         frontier.append(found)
+            done.clear()
         result.finished_at = self.sim.now
         return result
 
@@ -146,8 +164,6 @@ class Crawler:
                     self.rpc_timeout_s,
                 )
             )
-        from repro.simnet.sim import all_of
-
         responses = yield all_of(probes)
         for response in responses:
             if isinstance(response, BaseException):

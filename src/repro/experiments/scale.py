@@ -19,8 +19,8 @@ RSS alongside fidelity.
 
 Two knobs make 200 k tractable without touching fidelity:
 
-- ``workers`` shards the event queue by region (deterministic merge —
-  results are byte-identical for any worker count);
+- ``workers`` tags the kernel's events with region shards (one heap,
+  one global order — results are byte-identical for any worker count);
 - ``probe_sample`` hands only a fixed keyspace slice of discovered
   peers to the uptime prober. Sampling is by DHT-key prefix, so it is
   deterministic and unbiased; session statistics are estimates over a

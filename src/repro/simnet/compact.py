@@ -29,11 +29,12 @@ seeded population built both ways yields identical routing tables
 (pinned by sha256), address books, churn transition logs, and a
 byte-identical protocol trace.
 
-Determinism across workers: the event queue is a
-:class:`~repro.simnet.shard.ShardedSimulator` whose merge executes the
-global ``(time, sequence)`` order sequentially for any shard count, so
-every artifact is byte-identical for ``workers`` of 1, 2, 4, ... — the
-property pinned for the crawl/churn experiments at paper scale.
+Determinism across workers: the kernel is a
+:class:`~repro.simnet.shard.ShardedSimulator`, one event heap whose
+events carry a region shard tag; it executes the global ``(time,
+sequence)`` order whatever the shard count, so every artifact is
+byte-identical for ``workers`` of 1, 2, 4, ... — the property pinned
+for the crawl/churn experiments at paper scale.
 """
 
 from __future__ import annotations
@@ -374,10 +375,10 @@ def build_compact_world(
 ) -> CompactWorld:
     """Build the scenario ``build_scenario`` would build, compactly.
 
-    ``workers`` is the number of per-region event queues of the
-    :class:`~repro.simnet.shard.ShardedSimulator`; their merge runs
-    events sequentially in one global order, so results are
-    byte-identical for any value. ``config`` is a
+    ``workers`` is the number of region shards the
+    :class:`~repro.simnet.shard.ShardedSimulator` tags churn events
+    with; events run from its one heap in one global order, so results
+    are byte-identical for any value. ``config`` is a
     :class:`~repro.experiments.scenario.ScenarioConfig` (NAT worlds are
     not supported compactly yet — build those with ``build_scenario``).
     """

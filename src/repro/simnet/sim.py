@@ -321,6 +321,11 @@ def any_of(futures: Iterable[Future]) -> Future:
 
     The result is ``(index, value)`` of the winner. Used for racing
     Bitswap against the 1 s DHT-fallback timer.
+
+    Every losing future keeps its callback until it settles, so a loop
+    must not re-race a long-lived set: each round would add one more
+    callback to every member. ``dht.lookup`` races at most ``alpha``
+    requests; the crawler waits on a completion list instead.
     """
     futures = list(futures)
     combined = Future()

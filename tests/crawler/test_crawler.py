@@ -6,14 +6,18 @@ from repro.crawler.crawl import Crawler, bucket_probe_key
 from repro.crawler.prober import ProbeConfig, UptimeProber
 from repro.crawler.sessions import extract_sessions, online_intervals
 from repro.dht.keyspace import common_prefix_length, key_for_peer
+from repro.experiments.scenario import ScenarioConfig
 from repro.multiformats.peerid import PeerId
+from repro.simnet.compact import build_compact_world
 from repro.simnet.latency import PeerClass, Region
 from repro.simnet.network import SimHost
+from repro.simnet.sim import Future
 from repro.utils.rng import derive_rng
+from repro.workloads.population import PopulationConfig, generate_compact_population
 from tests.helpers import build_world
 
 
-def attach_crawler(world, bucket_queries=8):
+def attach_crawler(world, bucket_queries=8, concurrency=64):
     host = SimHost(
         PeerId.from_public_key(b"crawler"),
         region=Region.EU,
@@ -22,7 +26,7 @@ def attach_crawler(world, bucket_queries=8):
     world.net.register(host)
     return Crawler(
         world.sim, world.net, host, derive_rng(1, "crawler"),
-        bucket_queries=bucket_queries,
+        bucket_queries=bucket_queries, concurrency=concurrency,
     )
 
 
@@ -105,6 +109,42 @@ class TestCrawl:
 
         result = world.sim.run_process(proc())
         assert result.peers_seen == set()
+
+
+class TestCrawlKernelCost:
+    """A finished visit must not cost every other in-flight visit a
+    callback: the kernel work per visit is independent of the crawl's
+    concurrency (a loop that re-races all in-flight visits on each wake
+    adds about ``concurrency`` callbacks per visit)."""
+
+    def _callbacks_per_visit(self, monkeypatch, concurrency: int) -> float:
+        compact = generate_compact_population(
+            PopulationConfig(n_peers=200), derive_rng(5, "population")
+        )
+        world = build_compact_world(compact, ScenarioConfig(seed=5, with_churn=False))
+        crawler = attach_crawler(world, concurrency=concurrency)
+        add_callback = Future.add_callback
+        calls = 0
+
+        def counting(future, callback):
+            nonlocal calls
+            calls += 1
+            return add_callback(future, callback)
+
+        monkeypatch.setattr(Future, "add_callback", counting)
+
+        def proc():
+            return (yield from crawler.crawl(world.bootstrap_ids))
+
+        result = world.sim.run_process(proc())
+        monkeypatch.undo()
+        assert len(result.peers_seen) == len(compact)
+        return calls / len(result.peers_seen)
+
+    def test_callbacks_per_visit_do_not_grow_with_concurrency(self, monkeypatch):
+        narrow = self._callbacks_per_visit(monkeypatch, concurrency=8)
+        wide = self._callbacks_per_visit(monkeypatch, concurrency=64)
+        assert wide == pytest.approx(narrow, rel=0.10)
 
 
 class TestProber:

@@ -19,7 +19,7 @@ This suite is the proof:
 - protocol byte-identity: drive the actual crawler + prober campaign
   over object and compact worlds and compare exported trace digests
   against a pinned golden hash — one constant guards both the compact
-  path and the sharded merge for every worker count.
+  path and the shard-tagged kernel for every worker count.
 
 Regenerate GOLDEN_CRAWL_TRACE_SHA256 with:
 

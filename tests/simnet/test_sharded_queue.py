@@ -1,12 +1,14 @@
-"""Property tests for the sharded event queue's deterministic merge.
+"""Property tests for the shard-tagged event queue.
 
 The contract (module docstring of :mod:`repro.simnet.shard`): for any
 shard count and any assignment of events to shards, the executed order
 is the global ``(time, sequence)`` order — identical to the plain
-single-queue :class:`~repro.simnet.sim.Simulator`, same-instant ties
-included. Programs here are pregenerated trees (events spawning events,
-plus cancellations), interpreted once per kernel, and the full firing
-logs are compared exactly.
+:class:`~repro.simnet.sim.Simulator`, same-instant ties included, for
+``run`` and ``run_process`` alike — and every event runs in its shard:
+the explicit one, else its scheduler's (0 in the build phase).
+Programs here are pregenerated trees (events spawning events, plus
+cancellations), interpreted once per kernel, and the full firing logs
+are compared exactly.
 
 The conservative-lookahead rule is checked both ways: a cross-shard
 send with ``delay < lookahead`` is rejected at the call site, and every
@@ -25,7 +27,7 @@ from hypothesis import given, settings
 
 from repro.errors import SimulationError
 from repro.simnet.shard import ShardedSimulator
-from repro.simnet.sim import Simulator
+from repro.simnet.sim import Future, Simulator
 
 # A deliberately collision-heavy delay alphabet: repeated values force
 # same-instant ties, 0.0 forces now-reentrant events.
@@ -62,9 +64,15 @@ def build_program(rng: random.Random, n_roots: int, depth: int) -> list:
     return [with_cancels(root, (i,)) for i, root in enumerate(roots)]
 
 
-def interpret(sim, program: list) -> list[tuple[float, tuple]]:
-    """Run ``program`` on ``sim``; return the (time, path) firing log."""
+def load(sim, program: list, on_fire=None) -> tuple[list, dict]:
+    """Schedule ``program``'s roots on ``sim`` without running it.
+
+    Returns the (time, path) firing log the run will fill, and for a
+    sharded kernel the ``current_shard`` each fired path ran in.
+    ``on_fire(path)`` is called after each firing.
+    """
     log: list[tuple[float, tuple]] = []
+    ran_in: dict[tuple, int] = {}
     timers: dict[tuple, object] = {}
     sharded = isinstance(sim, ShardedSimulator)
 
@@ -73,12 +81,16 @@ def interpret(sim, program: list) -> list[tuple[float, tuple]]:
 
         def fire():
             log.append((sim.now, path))
+            if sharded:
+                ran_in[path] = sim.current_shard
             if cancel is not None:
                 timer = timers.get(cancel)
                 if timer is not None:
                     timer.cancel()
             for j, child in enumerate(children):
                 schedule_node(child, path + (j,))
+            if on_fire is not None:
+                on_fire(path)
 
         if sharded and shard is not None:
             timers[path] = sim.schedule(delay, fire, shard=shard % sim.n_shards)
@@ -87,6 +99,12 @@ def interpret(sim, program: list) -> list[tuple[float, tuple]]:
 
     for i, root in enumerate(program):
         schedule_node(root, (i,))
+    return log, ran_in
+
+
+def interpret(sim, program: list) -> list[tuple[float, tuple]]:
+    """Run ``program`` on ``sim``; return the (time, path) firing log."""
+    log, _ = load(sim, program)
     sim.run()
     return log
 
@@ -116,36 +134,89 @@ def test_merge_order_identical_to_single_queue(seed, shards):
 def test_run_until_parity(seed):
     """Partial runs stop at the same point: same log prefix, same now."""
     program = build_program(random.Random(seed), n_roots=10, depth=2)
-    base, sharded = Simulator(), ShardedSimulator(shards=4)
     logs = []
-    for sim in (base, sharded):
-        log: list[tuple[float, tuple]] = []
-        timers: dict[tuple, object] = {}
-        is_sharded = isinstance(sim, ShardedSimulator)
-
-        def schedule_node(node, path, sim=sim, log=log, timers=timers,
-                          is_sharded=is_sharded):
-            delay, shard, cancel, children = node
-
-            def fire():
-                log.append((sim.now, path))
-                if cancel is not None and cancel in timers:
-                    timers[cancel].cancel()
-                for j, child in enumerate(children):
-                    schedule_node(child, path + (j,))
-
-            if is_sharded and shard is not None:
-                timers[path] = sim.schedule(
-                    delay, fire, shard=shard % sim.n_shards)
-            else:
-                timers[path] = sim.schedule(delay, fire)
-
-        for i, root in enumerate(program):
-            schedule_node(root, (i,))
+    for sim in (Simulator(), ShardedSimulator(shards=4)):
+        log, _ = load(sim, program)
         sim.run(until=4.0)
         logs.append(log)
         assert sim.now == 4.0
     assert logs[0] == logs[1]
+
+
+def expected_shards(program: list, n_shards: int) -> dict[tuple, int]:
+    """The shard each path must run in: its explicit shard, else its
+    scheduler's; roots scheduled in the build phase default to 0."""
+    expected: dict[tuple, int] = {}
+
+    def walk(node, path, inherited):
+        _, shard, _, children = node
+        own = inherited if shard is None else shard % n_shards
+        expected[path] = own
+        for j, child in enumerate(children):
+            walk(child, path + (j,), own)
+
+    for i, root in enumerate(program):
+        walk(root, (i,), 0)
+    return expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_events_run_in_their_shard(seed, n_shards):
+    """The shard tag: an event scheduled without ``shard=`` runs in its
+    scheduler's shard, an explicit shard is kept as given, and
+    build-phase events default to shard 0."""
+    program = build_program(random.Random(seed), n_roots=12, depth=3)
+    sim = ShardedSimulator(shards=n_shards)
+    _, ran_in = load(sim, program)
+    sim.run()
+    assert ran_in, "program fired nothing"
+    expected = expected_shards(program, n_shards)
+    for path, shard in ran_in.items():
+        assert shard == expected[path], f"{path} ran in shard {shard}"
+
+
+def run_as_process(sim, program: list, stop_path: tuple, timeout):
+    """Drive ``program`` from a process that sleeps, then waits for
+    ``stop_path`` to fire; returns everything ``run_process`` leaves
+    observable (outcome or error, log, clock, event count)."""
+    stopped = Future()
+    logs = []
+
+    def on_fire(path):
+        if path == stop_path:
+            stopped.resolve(sim.now)
+
+    def proc():
+        logs.append(load(sim, program, on_fire)[0])
+        yield 0.5
+        return (yield stopped)
+
+    try:
+        outcome = sim.run_process(proc(), timeout=timeout)
+    except SimulationError as exc:
+        outcome = str(exc)
+    return outcome, logs, sim.now, sim.events_processed
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shards=st.integers(min_value=1, max_value=5),
+    timeout=st.sampled_from([None, 3.0, 10.0]),
+)
+def test_run_process_parity(seed, shards, timeout):
+    """``run_process`` stops where the plain kernel's does — on
+    completion, timeout or deadlock — with the same log, clock and
+    event count."""
+    rng = random.Random(seed)
+    program = build_program(rng, n_roots=10, depth=3)
+    stop_path = rng.choice(list(expected_shards(program, 1)))
+    reference = run_as_process(Simulator(), program, stop_path, timeout)
+    sharded = run_as_process(
+        ShardedSimulator(shards=shards), program, stop_path, timeout)
+    assert sharded == reference
 
 
 def test_cross_shard_send_below_lookahead_rejected():
